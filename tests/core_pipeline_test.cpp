@@ -8,6 +8,7 @@
 #include "msa/polish.hpp"
 #include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
+#include "util/stable_hash.hpp"
 #include "util/string_util.hpp"
 #include "workload/evolver.hpp"
 #include "workload/genome.hpp"
@@ -399,6 +400,119 @@ TEST(PolishPipeline, SingleProcPolishMatchesLibraryPolish) {
   ASSERT_EQ(from_pipeline.num_cols(), manual.num_cols());
   for (std::size_t r = 0; r < manual.num_rows(); ++r)
     EXPECT_EQ(from_pipeline.row_text(r), manual.row_text(r));
+}
+
+// ---- behaviour pins ----------------------------------------------------------------
+//
+// Exact digests of the aligned rows and exact per-stage wire bytes. Any
+// refactor of the staged executor must leave both untouched; a change here
+// means the pipeline's output or its modeled traffic moved.
+
+std::vector<Sequence> genome_input() {
+  workload::GenomeParams gp;
+  gp.num_families = 12;
+  gp.mean_family_size = 6.0;
+  gp.num_orphans = 20;
+  gp.mean_length = 80;
+  return workload::GenomeSimulator(gp).sample(48, 11);
+}
+
+std::string rows_digest(const Alignment& a) {
+  util::StableHash h;
+  for (std::size_t r = 0; r < a.num_rows(); ++r) {
+    h.str(a.row(r).id);
+    h.str(a.row_text(r));
+  }
+  return h.digest128().hex();
+}
+
+struct PinCase {
+  const char* input;  // "family" or "genome"
+  int p;
+  RankMode mode;
+  bool ancestor;
+  const char* digest;
+};
+
+TEST(PipelinePin, RowDigestsAreFixed) {
+  const std::vector<Sequence> fam = family(48, 60, 700, 4242);
+  const std::vector<Sequence> gen = genome_input();
+  const PinCase cases[] = {
+      {"family", 1, RankMode::Globalized, true,
+       "e8df7ccd05b358a5b843e89feff4e2ab"},
+      {"family", 4, RankMode::Globalized, true,
+       "20187690975486b8f491dc5345b813d3"},
+      {"family", 16, RankMode::Globalized, true,
+       "2bfe08cea962cea7662cedfed3f7bda7"},
+      {"family", 4, RankMode::LocalOnly, true,
+       "f4ed8360e3ed6fa50f29ddced2d4fbbd"},
+      {"family", 4, RankMode::Globalized, false,
+       "2b12758217bfbe8b1a134894c8d2ff56"},
+      {"genome", 1, RankMode::Globalized, true,
+       "468cd46527ed97a867ee0bdcf1b83da4"},
+      {"genome", 4, RankMode::Globalized, true,
+       "1ae0169567c323e32c96d1aa9ceb6983"},
+      {"genome", 16, RankMode::Globalized, true,
+       "e3c82238f132dc8bf10375bba249dbfd"},
+      {"genome", 4, RankMode::LocalOnly, true,
+       "ac15c33f28b47cb99c7f21abc13396c6"},
+      {"genome", 4, RankMode::Globalized, false,
+       "3d648b3ae193441063d19ebaa390e350"},
+  };
+  for (const PinCase& c : cases) {
+    SampleAlignDConfig cfg;
+    cfg.num_procs = c.p;
+    cfg.rank_mode = c.mode;
+    cfg.ancestor_refinement = c.ancestor;
+    const Alignment a = SampleAlignD(cfg).align(
+        std::string(c.input) == "family" ? fam : gen);
+    EXPECT_EQ(rows_digest(a), c.digest)
+        << c.input << " p=" << c.p << " local_only="
+        << (c.mode == RankMode::LocalOnly) << " ancestor=" << c.ancestor;
+  }
+}
+
+struct WirePin {
+  const char* stage;
+  std::uint64_t total_bytes;
+  std::uint64_t max_bytes_per_rank;
+};
+
+void expect_wire_bytes(const std::vector<Sequence>& seqs,
+                       const std::vector<WirePin>& expect) {
+  PipelineStats stats;
+  (void)pipeline(4).align(seqs, &stats);
+  std::size_t next = 0;
+  for (const StageStats& s : stats.stages) {
+    if (next < expect.size() && s.name == expect[next].stage) {
+      EXPECT_EQ(s.total_bytes, expect[next].total_bytes) << s.name;
+      EXPECT_EQ(s.max_bytes_per_rank, expect[next].max_bytes_per_rank)
+          << s.name;
+      ++next;
+    } else {
+      EXPECT_EQ(s.total_bytes, 0u) << s.name;
+    }
+  }
+  EXPECT_EQ(next, expect.size()) << "a pinned stage is missing or reordered";
+}
+
+TEST(PipelinePin, WireBytesAtFourRanksAreFixed) {
+  expect_wire_bytes(family(48, 60, 700, 4242),
+                    {{"sample exchange", 2778, 702},
+                     {"pivot candidate gather", 84, 28},
+                     {"pivot broadcast", 84, 84},
+                     {"sequence redistribution", 3357, 1025},
+                     {"ancestor gather", 238, 80},
+                     {"global ancestor broadcast", 255, 255},
+                     {"glue gather", 2983, 1361}});
+  expect_wire_bytes(genome_input(),
+                    {{"sample exchange", 3879, 1023},
+                     {"pivot candidate gather", 84, 28},
+                     {"pivot broadcast", 84, 84},
+                     {"sequence redistribution", 4357, 1259},
+                     {"ancestor gather", 362, 133},
+                     {"global ancestor broadcast", 450, 450},
+                     {"glue gather", 5121, 2068}});
 }
 
 TEST(PipelineStatsTest, StageTableContainsPaperStages) {
