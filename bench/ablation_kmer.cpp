@@ -1,5 +1,5 @@
-// Ablation C (DESIGN.md §4): sensitivity to the k-mer size and the sample
-// count k' (the paper's k, default p-1).
+// Ablation C (README "Benchmarks"): sensitivity to the k-mer size and the
+// sample count k' (the paper's k, default p-1).
 //
 // The paper fixes k-mer parameters implicitly (via MUSCLE's distance) and
 // uses k' = p-1 samples per processor. This bench sweeps both knobs and

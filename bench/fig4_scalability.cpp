@@ -3,8 +3,8 @@
 // 800). The paper reports times dropping sharply with p (e.g. 20000
 // sequences in ~25 s on 16 processors).
 //
-// Substitution note (DESIGN.md §2): the container has 2 cores, not 16
-// nodes, so two times are reported per cell:
+// Substitution note (README "Parallelism model"): the container has 2 cores,
+// not 16 nodes, so two times are reported per cell:
 //   wall    — host wall-clock with p runtime threads (oversubscribed);
 //   modeled — per-stage max rank CPU time + Beowulf/GigE wire model, i.e.
 //             the dedicated-cluster makespan the paper measures.

@@ -25,11 +25,15 @@ double StageStats::comm_seconds(const par::ClusterCostModel& model,
   switch (pattern) {
     case CommPattern::None: return 0.0;
     case CommPattern::Gather: return model.gather(max_bytes_per_rank, p);
-    case CommPattern::Broadcast: return model.broadcast(max_bytes_per_rank, p);
+    case CommPattern::Broadcast:
     case CommPattern::AllGather:
-      // Every rank broadcasts its contribution: p concurrent flat trees,
+      // A broadcast sender records its total outbound bytes, message ×
+      // (p-1), and broadcast() already charges p-1 messages — so charge it
+      // one message's worth. An all-gather is p concurrent flat trees,
       // charged as the slowest rank's outbound serialization.
-      return model.broadcast(max_bytes_per_rank, p);
+      if (p <= 1) return 0.0;
+      return model.broadcast(
+          max_bytes_per_rank / static_cast<std::uint64_t>(p - 1), p);
     case CommPattern::AllToAll: return model.all_to_all(max_bytes_per_rank, p);
   }
   return 0.0;

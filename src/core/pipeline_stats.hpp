@@ -31,7 +31,9 @@ struct StageStats {
   /// seconds between a threads=1 and a threads=t run of the same input
   /// (PipelineStats::threads records which one this is).
   std::vector<double> rank_wall_seconds;
-  /// Communication volume: max bytes sent by any rank in this stage.
+  /// Communication volume: max bytes sent by any rank in this stage. A
+  /// broadcast root or all-gather rank counts every copy it sends, i.e.
+  /// message size × (p-1).
   std::uint64_t max_bytes_per_rank = 0;
   /// Total bytes sent by all ranks in this stage.
   std::uint64_t total_bytes = 0;
@@ -45,14 +47,6 @@ struct StageStats {
                                     int p) const;
 };
 
-/// End-to-end instrumentation of one pipeline run.
-///
-/// Two notions of time are reported (DESIGN.md §2):
-///  - wall_seconds: host wall-clock of the run (threads oversubscribe the
-///    host's cores, so this undersells large p on small machines);
-///  - modeled_seconds(): per-stage max rank CPU time + modeled wire time,
-///    i.e. the makespan on a dedicated p-node cluster — the quantity the
-///    paper's Figs. 4-6 plot.
 /// Checkpoint/cache provenance of one stage artifact (mirrors the
 /// stage::ArtifactRecord the run produced, without the digests).
 struct StageArtifactStats {
@@ -71,6 +65,14 @@ struct AlignerPhaseSummary {
   std::uint64_t cache_hits = 0;
 };
 
+/// End-to-end instrumentation of one pipeline run.
+///
+/// Two notions of time are reported (README "Parallelism model"):
+///  - wall_seconds: host wall-clock of the run (threads oversubscribe the
+///    host's cores, so this undersells large p on small machines);
+///  - modeled_seconds(): per-stage max rank CPU time + modeled wire time,
+///    i.e. the makespan on a dedicated p-node cluster — the quantity the
+///    paper's Figs. 4-6 plot.
 struct PipelineStats {
   int num_procs = 0;
   /// Worker threads each rank's local work was allowed to use

@@ -15,8 +15,9 @@
 #include "msa/muscle_like.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
-#include "par/cluster.hpp"
+#include "par/serialize.hpp"
 #include "util/artifact_cache.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace salign::core {
@@ -26,7 +27,6 @@ namespace {
 using align::EditOp;
 using bio::Sequence;
 using msa::Alignment;
-using par::ByteReader;
 using par::Bytes;
 using par::ByteWriter;
 using stage::RankedPartition;
@@ -140,13 +140,12 @@ class RunStats {
 };
 
 /// Runs fn(rank) for every rank concurrently — one deterministic chunk per
-/// rank, the staged executor's stand-in for the former thread-per-rank
-/// cluster — charging each rank's CPU and wall time to `stage`. fn must
+/// rank — charging each rank's CPU and wall time to `stage`. fn must
 /// write only to per-rank slots; chunk geometry never depends on
 /// scheduling, so neither do outputs.
 void for_each_rank(RunStats& rs, int stage, int p,
                    const std::function<void(int)>& fn) {
-  par::parallel_for(
+  util::parallel_for(
       static_cast<std::size_t>(p),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {
@@ -570,26 +569,15 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     const std::vector<std::uint64_t> sample_flat = runner.run(
         "sample-exchange", 5,
         [&] {
-          // Send side: each rank serializes its contribution; the all-gather
-          // charges own-payload × (p-1) per rank.
-          std::vector<Bytes> msgs(up);
+          // Each rank serializes its contribution; the all-gather charges
+          // own-payload × (p-1) per rank. The payloads are only sized, never
+          // decoded: ranks share the input, so the samples are rebuilt from
+          // the gathered indices below.
           for_each_rank(rs, kSampleExchange, p, [&](int r) {
-            const auto ur = static_cast<std::size_t>(r);
             ByteWriter w;
-            par::write_sequences(w, seqs_of_indices(sample_idx[ur]));
-            msgs[ur] = w.take();
-            rs.add_bytes(kSampleExchange, r, msgs[ur].size() * (up - 1));
-          });
-          // Receive side: every rank decodes all p payloads (identical
-          // results; the work is charged per rank as on the cluster).
-          for_each_rank(rs, kSampleExchange, p, [&](int) {
-            std::vector<Sequence> all;
-            for (const Bytes& b : msgs) {
-              ByteReader rd(b);
-              std::vector<Sequence> part = par::read_sequences(rd);
-              all.insert(all.end(), std::make_move_iterator(part.begin()),
-                         std::make_move_iterator(part.end()));
-            }
+            par::write_sequences(
+                w, seqs_of_indices(sample_idx[static_cast<std::size_t>(r)]));
+            rs.add_bytes(kSampleExchange, r, w.size() * (up - 1));
           });
           std::vector<std::uint64_t> flat;
           for (const auto& list : sample_idx)
@@ -649,7 +637,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           rs.add_bytes(kPivotGather, r, r == 0 ? 0 : w.size());
         });
         std::vector<double> chosen;
-        Bytes pivot_msg;
         rs.timed_root(kPivotSelect, [&] {
           std::vector<double> all;
           for (const auto& c : cands) all.insert(all.end(), c.begin(), c.end());
@@ -657,16 +644,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           ByteWriter pw;
           pw.u32(static_cast<std::uint32_t>(chosen.size()));
           for (double v : chosen) pw.f64(v);
-          pivot_msg = pw.take();
-          rs.add_bytes(kPivotBcast, 0, pivot_msg.size() * (up - 1));
-        });
-        // Receive side of the broadcast.
-        for_each_rank(rs, kPivotBcast, p, [&](int) {
-          ByteReader rd{std::span<const std::uint8_t>(pivot_msg)};
-          const std::uint32_t k = rd.u32();
-          std::vector<double> got;
-          got.reserve(k);
-          for (std::uint32_t i = 0; i < k; ++i) got.push_back(rd.f64());
+          rs.add_bytes(kPivotBcast, 0, pw.size() * (up - 1));
         });
         return chosen;
       },
@@ -755,7 +733,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           });
           Sequence global("global_ancestor", std::vector<std::uint8_t>{},
                           bio::AlphabetKind::AminoAcid);
-          Bytes ga_msg;
           rs.timed_root(kAncestorAlign, [&] {
             std::vector<Sequence> present;
             for (const Sequence& a : ancestors)
@@ -773,13 +750,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
             }
             ByteWriter gw;
             par::write_sequence(gw, global);
-            ga_msg = gw.take();
-            rs.add_bytes(kAncestorBcast, 0, ga_msg.size() * (up - 1));
-          });
-          // Receive side of the broadcast.
-          for_each_rank(rs, kAncestorBcast, p, [&](int) {
-            ByteReader rd{std::span<const std::uint8_t>(ga_msg)};
-            (void)par::read_sequence(rd);
+            rs.add_bytes(kAncestorBcast, 0, gw.size() * (up - 1));
           });
           return global;
         },

@@ -39,12 +39,12 @@ namespace salign::core {
 /// The run executes as an explicit typed stage graph (core/stage): every
 /// paper step above is a named stage whose output is a serializable,
 /// content-hashed artifact. A stage's per-rank work runs concurrently (one
-/// worker per simulated processor, drawn from the shared thread pool, as the
-/// former in-process cluster runtime did), and rank-to-rank communication is
-/// deterministic data movement at stage boundaries — serialized through the
-/// same par:: codecs as before, so `PipelineStats` byte accounting is
-/// unchanged and still reports both wall time and the modeled
-/// dedicated-cluster makespan.
+/// worker per simulated processor, drawn from the shared thread pool), and
+/// rank-to-rank communication is deterministic data movement at stage
+/// boundaries. Each message is encoded with the par:: codecs on the send
+/// side only, so `PipelineStats` counts the bytes a real cluster would put
+/// on the wire and reports both wall time and the modeled dedicated-cluster
+/// makespan.
 ///
 /// The stage graph is what makes runs resumable: with
 /// SampleAlignDConfig::checkpoint.dir set, every completed stage is

@@ -2,6 +2,17 @@
 
 namespace salign::par {
 
+// Out of line, and resize+memcpy instead of insert(end, b, b+n): inlined
+// into callers that append constant-size fields, GCC 12 at -O2/-O3 flags
+// the vector growth with -Warray-bounds and the iterator-range insert with
+// -Wnonnull — both false positives, fatal under -Werror.
+void ByteWriter::raw(const void* p, std::size_t n) {
+  if (n == 0) return;
+  const std::size_t old = buf_.size();
+  buf_.resize(old + n);
+  std::memcpy(buf_.data() + old, p, n);
+}
+
 void write_sequence(ByteWriter& w, const bio::Sequence& s) {
   w.u8(static_cast<std::uint8_t>(s.alphabet_kind()));
   w.str(s.id());

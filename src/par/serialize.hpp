@@ -12,9 +12,9 @@
 
 namespace salign::par {
 
-/// Message payload: a flat byte vector. All inter-rank data crosses this
-/// boundary — ranks never share pointers, mirroring MPI's separate address
-/// spaces (and making the byte counts the cost model charges for exact).
+/// Serialized payload: a flat byte vector. Stage artifacts, checkpoint files
+/// and the simulated inter-rank messages (whose sizes the cost model
+/// charges) are all encoded into it.
 using Bytes = std::vector<std::uint8_t>;
 
 /// Little-endian append-only writer.
@@ -37,15 +37,7 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
-  // resize+memcpy instead of insert(end, b, b+n): GCC 12 at -O2 expands the
-  // iterator-range insert into a copy whose pointer args it flags with a
-  // -Wnonnull false positive, fatal under -Werror.
-  void raw(const void* p, std::size_t n) {
-    if (n == 0) return;
-    const std::size_t old = buf_.size();
-    buf_.resize(old + n);
-    std::memcpy(buf_.data() + old, p, n);
-  }
+  void raw(const void* p, std::size_t n);
   Bytes buf_;
 };
 
@@ -57,7 +49,7 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   /// Owning overload: adopts the payload so that readers constructed
-  /// straight from a temporary — `ByteReader r(comm.recv(...))` — are safe.
+  /// straight from a temporary — `ByteReader r(w.take())` — are safe.
   /// Without this, the span constructor would bind to the destroyed
   /// temporary (C++20 span's range constructor does not reject rvalues).
   explicit ByteReader(Bytes&& payload)

@@ -53,6 +53,18 @@ class ThreadPool {
   unsigned max_workers_;
 };
 
+/// Static-partition parallel map over [0, n): OpenMP-style worksharing for
+/// intra-rank loops (distance matrices, per-sequence ranking) and the
+/// pipeline's per-rank stages. Runs inline when threads <= 1 or n is tiny;
+/// otherwise draws workers from ThreadPool::shared() (no per-call thread
+/// spawns), with the calling thread always participating. Chunk boundaries
+/// depend only on (n, threads), so outputs are deterministic for any pool
+/// load. Polls the ambient util::Budget before each chunk. `fn(begin, end)`
+/// must be thread-safe on disjoint ranges.
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
+                  unsigned threads);
+
 /// Default worker count for "auto" thread knobs: the host's hardware
 /// concurrency, capped at kDefaultThreadCap (beyond the cap the in-process
 /// cluster ranks multiply against per-rank threads and memory-bandwidth-

@@ -39,11 +39,11 @@ class Stopwatch {
 
 /// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID).
 ///
-/// The cluster runtime oversubscribes host cores with one thread per
-/// simulated rank; wall-clock per-rank timings would be inflated by
+/// The pipeline runs every simulated rank's segment concurrently on the
+/// host's cores; wall-clock per-rank timings would be inflated by
 /// scheduler contention. CPU time measures the work a rank actually did,
 /// which is what the cluster cost model charges as "dedicated node" compute
-/// (see DESIGN.md §2).
+/// (see README "Parallelism model").
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now()) {}

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/partition.hpp"
-#include "core/sample_sort.hpp"
 #include "util/rng.hpp"
 
 namespace salign::core {
@@ -149,54 +148,6 @@ TEST_P(PsrsBoundTest, NoBucketExceedsTwiceShare) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ps, PsrsBoundTest, ::testing::Values(2, 4, 8, 16));
-
-// ---- parallel sample sort ------------------------------------------------------------
-
-class SampleSortTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SampleSortTest, EqualsStdSortOnRandomData) {
-  const int p = GetParam();
-  util::Rng rng(static_cast<std::uint64_t>(p) * 13 + 5);
-  std::vector<double> data(3000);
-  for (auto& x : data) x = rng.uniform(-100, 100);
-  std::vector<double> expect = data;
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(parallel_sample_sort(std::move(data), p), expect);
-}
-
-TEST_P(SampleSortTest, HandlesDuplicatesAndSkew) {
-  const int p = GetParam();
-  util::Rng rng(99);
-  std::vector<double> data;
-  // Heavy skew: 80% of keys identical.
-  for (int i = 0; i < 2000; ++i)
-    data.push_back(rng.chance(0.8) ? 7.0 : rng.uniform(0, 100));
-  std::vector<double> expect = data;
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(parallel_sample_sort(std::move(data), p), expect);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ps, SampleSortTest, ::testing::Values(1, 2, 3, 4, 8));
-
-TEST(SampleSort, TinyInputs) {
-  EXPECT_TRUE(parallel_sample_sort({}, 4).empty());
-  EXPECT_EQ(parallel_sample_sort({3.0}, 4), (std::vector<double>{3.0}));
-  EXPECT_EQ(parallel_sample_sort({2.0, 1.0}, 8),
-            (std::vector<double>{1.0, 2.0}));
-}
-
-TEST(SampleSort, AlreadySortedAndReversed) {
-  std::vector<double> asc(500);
-  for (std::size_t i = 0; i < asc.size(); ++i)
-    asc[i] = static_cast<double>(i);
-  std::vector<double> desc(asc.rbegin(), asc.rend());
-  EXPECT_EQ(parallel_sample_sort(desc, 4), asc);
-  EXPECT_EQ(parallel_sample_sort(asc, 4), asc);
-}
-
-TEST(SampleSort, InvalidPThrows) {
-  EXPECT_THROW((void)parallel_sample_sort({1.0}, 0), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace salign::core

@@ -515,6 +515,23 @@ TEST(PipelinePin, WireBytesAtFourRanksAreFixed) {
                      {"glue gather", 5121, 2068}});
 }
 
+TEST(PipelineStatsTest, BroadcastChargesOneMessagePerPeer) {
+  // A broadcast root records its total outbound bytes (message × (p-1));
+  // the modeled wire time must charge p-1 copies of the message, not p-1
+  // copies of the total.
+  const par::ClusterCostModel model;
+  StageStats s;
+  s.max_bytes_per_rank = 84;  // a 28-byte message sent to 3 peers
+  for (CommPattern pattern : {CommPattern::Broadcast, CommPattern::AllGather}) {
+    s.pattern = pattern;
+    EXPECT_DOUBLE_EQ(s.comm_seconds(model, 4), 3 * model.p2p(28));
+    EXPECT_DOUBLE_EQ(s.comm_seconds(model, 4), model.broadcast(28, 4));
+    EXPECT_DOUBLE_EQ(s.comm_seconds(model, 1), 0.0);
+  }
+  s.pattern = CommPattern::Gather;  // per-rank contribution is one message
+  EXPECT_DOUBLE_EQ(s.comm_seconds(model, 4), model.gather(84, 4));
+}
+
 TEST(PipelineStatsTest, StageTableContainsPaperStages) {
   const auto seqs = family(24, 30, 500, 1400);
   PipelineStats stats;
