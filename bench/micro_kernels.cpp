@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the kernels behind the paper's
 // §3 cost table: k-mer rank computation, pairwise DP, profile alignment,
-// guide-tree construction, and the communication runtime. These back the
+// guide-tree construction, and the PSRS partition. These back the
 // per-stage constants of the cluster cost model.
 
 #include <benchmark/benchmark.h>
@@ -66,6 +66,57 @@ void BM_KmerRankCentralized(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_KmerRankCentralized)->Arg(32)->Arg(64)->Arg(128)->Complexity();
+
+/// Rate of k-mer similarity pairs against wall time measured here
+/// (google-benchmark rate counters divide by the bench thread's CPU time,
+/// which is blind to pool workers).
+void set_pairs_per_second(benchmark::State& state, std::size_t pairs_per_iter,
+                          double wall) {
+  state.counters["pairs_per_second"] =
+      wall > 0.0 ? static_cast<double>(state.iterations() * pairs_per_iter) /
+                       wall
+                 : 0.0;
+}
+
+// MUSCLE's stage-1 k-mer distance matrix (the dense-row kernel over the
+// pair triangle), at the family-seq size N=1600 and at 1 and 4 workers.
+void BM_KmerDistanceMatrix(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto seqs = seqs_cache(n, 300);
+  const auto threads = static_cast<unsigned>(state.range(1));
+  double wall = 0.0;
+  for (auto _ : state) {
+    const util::Stopwatch watch;
+    benchmark::DoNotOptimize(kmer::distance_matrix(seqs, {}, threads));
+    wall += watch.seconds();
+  }
+  set_pairs_per_second(state, n * (n - 1) / 2, wall);
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_KmerDistanceMatrix)
+    ->Args({400, 1})->Args({400, 4})->Args({1600, 1})->Args({1600, 4})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The pipeline's rank stages on pre-built profiles: a block of N sequences
+// against itself (local rank) and against a 64-sequence sample (global
+// rank).
+void BM_KmerRanksAgainst(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto refs_n = static_cast<std::size_t>(state.range(1));
+  const auto seqs = seqs_cache(n, 300);
+  const std::vector<kmer::KmerProfile> profs =
+      kmer::build_profiles(seqs, kmer::KmerParams{});
+  const std::span<const kmer::KmerProfile> refs(profs.data(), refs_n);
+  double wall = 0.0;
+  for (auto _ : state) {
+    const util::Stopwatch watch;
+    benchmark::DoNotOptimize(kmer::ranks_against(profs, refs));
+    wall += watch.seconds();
+  }
+  set_pairs_per_second(state, n * refs_n, wall);
+}
+BENCHMARK(BM_KmerRanksAgainst)->Args({500, 500})->Args({500, 64})
+    ->Unit(benchmark::kMillisecond);
 
 /// Reports DP throughput for a pairwise kernel: google-benchmark divides the
 /// accumulated cell count by elapsed time, so BENCH JSON entries carry a

@@ -593,14 +593,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         [&] {
           RankedPartition out = cur;
           for_each_rank(rs, kGlobalRank, p, [&](int r) {
-            const std::vector<kmer::KmerProfile> ref =
-                kmer::build_profiles(samples, config_.kmer);
-            for (RankedRef& item : out[static_cast<std::size_t>(r)]) {
-              const kmer::KmerProfile prof = kmer::KmerProfile::from_sequence(
-                  seqs[item.index], config_.kmer);
-              item.rank = kmer::rank_from_mean_similarity(
-                  kmer::mean_similarity(prof, ref));
-            }
+            auto& part = out[static_cast<std::size_t>(r)];
+            const std::vector<double> ranks = kmer::ranks_against(
+                kmer::build_profiles(seqs_of(part), config_.kmer),
+                kmer::build_profiles(samples, config_.kmer));
+            for (std::size_t i = 0; i < part.size(); ++i)
+              part[i].rank = ranks[i];
           });
           return out;
         },

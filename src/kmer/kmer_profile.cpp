@@ -4,13 +4,11 @@
 #include <bit>
 #include <stdexcept>
 
+#include "kmer/count_table.hpp"
+
 namespace salign::kmer {
 
 namespace {
-
-/// One-level dense count tables are used while the packed k-mer space fits
-/// in this many slots (256 Ki ids = 1 MiB of scratch).
-constexpr std::uint64_t kDenseTableLimit = 1ULL << 18;
 
 /// Larger spaces count through a two-level table: a top-level directory of
 /// block handles over lazily-assigned blocks of 2^kBlockBits counts. Only
@@ -76,6 +74,12 @@ struct TwoLevelTable {
 };
 
 }  // namespace
+
+std::vector<std::uint32_t>& detail::dense_count_table(std::size_t space) {
+  thread_local std::vector<std::uint32_t> table;
+  if (table.size() < space) table.resize(space, 0);
+  return table;
+}
 
 int packed_kmer_bits(const bio::Alphabet& alpha) {
   const auto letters = static_cast<unsigned>(alpha.letters());
@@ -160,11 +164,12 @@ KmerProfile KmerProfile::from_sequence(const bio::Sequence& seq,
 
   if (space <= kDenseTableLimit && mode != KmerCountMode::kSort) {
     // One-level dense counting: O(windows) with one table slot per possible
-    // id. The scratch table persists across calls and only touched slots
-    // are cleared, so building a whole set's profiles stays
+    // id. The thread's scratch table (detail::dense_count_table, shared
+    // with the similarity kernel) persists across calls and only touched
+    // slots are cleared, so building a whole set's profiles stays
     // allocation-free.
-    thread_local std::vector<std::uint32_t> table;
-    if (table.size() < space) table.resize(space, 0);
+    std::vector<std::uint32_t>& table =
+        detail::dense_count_table(static_cast<std::size_t>(space));
     std::vector<std::uint32_t> touched;
     touched.reserve(ids.size());
     for (const std::uint32_t v : ids) {

@@ -29,6 +29,12 @@ struct KmerParams {
 /// into a dense table instead of being sorted.
 [[nodiscard]] int packed_kmer_bits(const bio::Alphabet& alpha);
 
+/// One-level dense count tables are used while the packed k-mer space fits
+/// in this many slots (256 Ki ids = 1 MiB of scratch): by from_sequence to
+/// count a sequence's windows, and by the rank/distance kernels
+/// (kmer_rank.hpp) to hold one row's counts while others stream past it.
+inline constexpr std::uint64_t kDenseTableLimit = 1ULL << 18;
+
 /// How from_sequence turns the rolled k-mer id stream into sorted counts.
 /// kAuto picks kDense (one-level table for small id spaces, a two-level
 /// lazily-allocated block table for large ones); kSort is the O(W log W)
@@ -51,7 +57,10 @@ class KmerProfile {
                                    KmerCountMode mode = KmerCountMode::kAuto);
 
   /// Fraction of common k-mers r(x, y) in [0, 1]. Sequences shorter than k
-  /// yield 0 (no shared k-mer evidence).
+  /// yield 0 (no shared k-mer evidence). A sorted-pair merge: the
+  /// all-pairs paths in kmer_rank.hpp use a dense-row kernel that is
+  /// bit-identical to it, and fall back to it for id spaces past
+  /// kDenseTableLimit; it is also their differential-testing oracle.
   [[nodiscard]] double similarity(const KmerProfile& other) const;
 
   /// Residue length of the originating sequence.

@@ -16,7 +16,8 @@ namespace salign::kmer {
 /// (max 1.448, mean 0.72) only fit the negated natural log — which is exactly
 /// Edgar's k-mer *distance* transform d = -ln(0.1 + F) (NAR 2004) that the
 /// paper cites for the rank definition. We therefore implement the negated
-/// form; see EXPERIMENTS.md ("Table 1") for the full justification.
+/// form: its range covers the published Table 1 statistics, which the
+/// plain log(0.1 + D) <= log(1.1) ~ 0.095 cannot reach.
 /// R ranges in [-ln(1.1), -ln(0.1)] ~ [-0.0953, 2.3026]; low rank means
 /// similar-to-everything, high rank means divergent.
 [[nodiscard]] double rank_from_mean_similarity(double mean_similarity);
@@ -40,13 +41,23 @@ namespace salign::kmer {
     std::span<const bio::Sequence> samples, const KmerParams& params);
 
 /// Same, but with pre-built profiles (the pipeline reuses profiles across
-/// phases to avoid recounting).
+/// phases to avoid recounting). Each rank is bit-identical to
+/// rank_from_mean_similarity(mean_similarity(x, refs)): every x is
+/// scattered once into a dense count table and `refs` stream past it in
+/// order, so the per-pair values and their summation order are unchanged.
+/// Throws std::invalid_argument on profiles of different k (as similarity
+/// does) unless `refs` is empty.
 [[nodiscard]] std::vector<double> ranks_against(
     std::span<const KmerProfile> seqs, std::span<const KmerProfile> refs);
 
 /// Pairwise k-mer distance matrix d = 1 - r, the guide-tree input used by
-/// the MUSCLE-style aligner's first iteration.
+/// the MUSCLE-style aligner's first iteration. Pairs are split over
+/// `threads` workers in align::pairwise_distance_matrix's lower-triangle
+/// order; every cell is a pure function of its pair, so the matrix is
+/// bit-identical for any thread count and to a KmerProfile::similarity
+/// loop.
 [[nodiscard]] util::SymmetricMatrix<double> distance_matrix(
-    std::span<const bio::Sequence> seqs, const KmerParams& params);
+    std::span<const bio::Sequence> seqs, const KmerParams& params,
+    unsigned threads = 1);
 
 }  // namespace salign::kmer

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
+#include "align/distance.hpp"
 #include "kmer/kmer_profile.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "util/rng.hpp"
+#include "util/string_util.hpp"
 #include "workload/rose.hpp"
 
 namespace salign::kmer {
@@ -143,6 +146,127 @@ TEST(KmerProfile, MismatchedKThrows) {
   const KmerProfile p2 = KmerProfile::from_sequence(s, uncompressed(2));
   const KmerProfile p3 = KmerProfile::from_sequence(s, uncompressed(3));
   EXPECT_THROW((void)p2.similarity(p3), std::invalid_argument);
+  // The dense-row kernel behind ranks_against (ids of k = 2, 3 fit
+  // kDenseTableLimit) and its sorted-merge fallback (k = 4, 5 do not) keep
+  // the same contract; an empty reference set compares nothing.
+  const std::vector<KmerProfile> dense2{p2};
+  const std::vector<KmerProfile> dense3{p3};
+  EXPECT_THROW((void)ranks_against(dense2, dense3), std::invalid_argument);
+  EXPECT_THROW((void)ranks_against(dense3, dense2), std::invalid_argument);
+  EXPECT_NO_THROW((void)ranks_against(dense2, {}));
+  const Sequence long_s("s", "ACDEFGHIKLMNPQRSTVWY");
+  const std::vector<KmerProfile> fallback4{
+      KmerProfile::from_sequence(long_s, uncompressed(4))};
+  const std::vector<KmerProfile> fallback5{
+      KmerProfile::from_sequence(long_s, uncompressed(5))};
+  EXPECT_THROW((void)ranks_against(fallback4, fallback5),
+               std::invalid_argument);
+}
+
+// ---- dense-row kernel vs the sorted-pair merge ---------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// 24 mutants of one random ancestor (so pairs share real k-mer counts):
+/// every fourth is a 1-4 residue stub shorter than most k, and every third
+/// carries a wildcard run.
+std::vector<Sequence> kernel_inputs(bio::AlphabetKind kind,
+                                    std::uint64_t seed) {
+  util::Rng rng(seed);
+  const bio::Alphabet& alpha = bio::Alphabet::get(kind);
+  const auto letter = [&] {
+    return static_cast<std::uint8_t>(
+        rng.below(static_cast<std::uint64_t>(alpha.letters())));
+  };
+  std::vector<std::uint8_t> ancestor(200);
+  for (auto& c : ancestor) c = letter();
+  std::vector<Sequence> out;
+  for (std::size_t s = 0; s < 24; ++s) {
+    const std::size_t len =
+        s % 4 == 0 ? 1 + rng.below(4) : 20 + rng.below(181);
+    std::vector<std::uint8_t> codes(ancestor.begin(),
+                                    ancestor.begin() + static_cast<long>(len));
+    for (auto& c : codes)
+      if (rng.below(5) == 0) c = letter();
+    if (s % 3 == 1) {
+      const std::size_t at = rng.below(len);
+      const std::size_t end = std::min(len, at + 1 + rng.below(8));
+      for (std::size_t i = at; i < end; ++i) codes[i] = alpha.wildcard();
+    }
+    out.emplace_back(util::indexed_name("s", s), std::move(codes), kind);
+  }
+  return out;
+}
+
+struct KernelCase {
+  bio::AlphabetKind kind;
+  bool compressed;
+  const char* name;
+};
+
+constexpr KernelCase kKernelCases[] = {
+    {bio::AlphabetKind::Dna, false, "dna"},
+    {bio::AlphabetKind::AminoAcid, true, "compressed amino"},
+    {bio::AlphabetKind::AminoAcid, false, "amino"},
+};
+
+/// 1 + the largest packed id of any profile: the dense table the kernel
+/// would need (it falls back past kDenseTableLimit).
+std::uint64_t id_space(const std::vector<KmerProfile>& profiles) {
+  std::uint64_t space = 0;
+  for (const auto& p : profiles)
+    if (!p.counts().empty())
+      space = std::max<std::uint64_t>(space, p.counts().back().first + 1ULL);
+  return space;
+}
+
+TEST(KmerDenseKernel, DistanceMatrixMatchesSimilarityLoop) {
+  for (const KernelCase& c : kKernelCases) {
+    for (int k = 2; k <= 5; ++k) {
+      const auto seqs = kernel_inputs(c.kind, 40 + static_cast<unsigned>(k));
+      const KmerParams params{k, c.compressed};
+      const auto profiles = build_profiles(seqs, params);
+      const auto d = distance_matrix(seqs, params);
+      for (std::size_t i = 0; i < seqs.size(); ++i) {
+        ASSERT_EQ(bits(d(i, i)), bits(0.0));
+        for (std::size_t j = 0; j < i; ++j)
+          ASSERT_EQ(bits(d(i, j)),
+                    bits(1.0 - profiles[i].similarity(profiles[j])))
+              << c.name << " k=" << k << " pair " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(KmerDenseKernel, InputsCoverBothPaths) {
+  // Compressed amino k = 4 (the default) runs dense; uncompressed amino at
+  // k = 5 (25 packed bits) is past the limit and takes the fallback, so
+  // the differential tests above and below exercise both.
+  const auto seqs = kernel_inputs(bio::AlphabetKind::AminoAcid, 45);
+  EXPECT_LE(id_space(build_profiles(seqs, KmerParams{4, true})),
+            kDenseTableLimit);
+  EXPECT_GT(id_space(build_profiles(seqs, uncompressed(5))),
+            kDenseTableLimit);
+}
+
+TEST(KmerDenseKernel, RanksAgainstMatchesMeanSimilarity) {
+  for (const KernelCase& c : kKernelCases) {
+    for (int k = 2; k <= 5; ++k) {
+      const auto seqs = kernel_inputs(c.kind, 50 + static_cast<unsigned>(k));
+      const auto profiles = build_profiles(seqs, KmerParams{k, c.compressed});
+      const std::span<const KmerProfile> all(profiles);
+      // Full set (local rank), a sample (global rank) and no references.
+      for (const auto refs : {all, all.subspan(3, 5), all.first(0)}) {
+        const std::vector<double> ranks = ranks_against(profiles, refs);
+        ASSERT_EQ(ranks.size(), profiles.size());
+        for (std::size_t i = 0; i < profiles.size(); ++i)
+          ASSERT_EQ(bits(ranks[i]), bits(rank_from_mean_similarity(
+                                        mean_similarity(profiles[i], refs))))
+              << c.name << " k=" << k << " refs " << refs.size() << " seq "
+              << i;
+      }
+    }
+  }
 }
 
 // ---- similarity properties -----------------------------------------------------
@@ -304,6 +428,26 @@ TEST(KmerDistanceMatrix, PropertiesHold) {
       EXPECT_LE(d(i, j), 1.0);
       EXPECT_DOUBLE_EQ(d(i, j), d(j, i));
     }
+  }
+}
+
+TEST(KmerDistanceMatrix, ThreadCountInvariant) {
+  // 23 sequences = 253 pairs: every chunk boundary of parallel_for's
+  // ceil(253 / t) geometry below falls mid-row, so chunks start by
+  // scattering a partial row.
+  const auto seqs = workload::rose_sequences(
+      {.num_sequences = 23, .average_length = 80, .relatedness = 500,
+       .seed = 13});
+  const std::size_t pairs = seqs.size() * (seqs.size() - 1) / 2;
+  const auto serial = distance_matrix(seqs, KmerParams{}, 1);
+  for (unsigned t : {2U, 3U, 4U, 7U}) {
+    ASSERT_NE(align::pair_from_index((pairs + t - 1) / t).second, 0U)
+        << "t=" << t << " splits on a row boundary";
+    const auto d = distance_matrix(seqs, KmerParams{}, t);
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+      for (std::size_t j = 0; j <= i; ++j)
+        ASSERT_EQ(bits(d(i, j)), bits(serial(i, j)))
+            << "t=" << t << " pair " << i << "," << j;
   }
 }
 
