@@ -7,7 +7,6 @@
 #include "kmer/kmer_profile.hpp"
 #include "msa/consensus.hpp"
 #include "msa/msa_algorithm.hpp"
-#include "msa/phase_stats.hpp"
 #include "msa/polish.hpp"
 #include "util/budget.hpp"
 
@@ -52,7 +51,8 @@ struct SampleAlignDConfig {
   /// The sequential MSA system run inside every processor (paper step
   /// "Align sequences in each processor using any sequential multiple
   /// alignment system"). Null selects MiniMuscle, the paper's choice,
-  /// with `threads` workers.
+  /// with `threads` workers; each run builds its own, so its per-phase
+  /// times land in that run's PipelineStats::aligner_phases.
   std::shared_ptr<const msa::MsaAlgorithm> local_aligner;
 
   /// Whether to run the global-ancestor profile-profile tweak (paper steps
@@ -90,11 +90,6 @@ struct SampleAlignDConfig {
   /// changes output. Only applies to the default aligner this config
   /// constructs — a caller-provided local_aligner manages its own caching.
   bool use_artifact_cache = false;
-
-  /// Per-phase recorder handed to the default local aligner (not owned;
-  /// must outlive the runs). Null = the pipeline allocates its own when it
-  /// builds the default aligner, and reports it through PipelineStats.
-  msa::AlignerPhaseStats* phase_stats = nullptr;
 
   /// Resource limits of a run (`--deadline` / `--max-memory`; 0 = none).
   /// The deadline is polled cooperatively at stage, chunk and merge

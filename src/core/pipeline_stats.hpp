@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "core/stage/stage.hpp"
+#include "msa/phase_stats.hpp"
 #include "par/cost_model.hpp"
 
 namespace salign::core {
@@ -47,24 +49,6 @@ struct StageStats {
                                     int p) const;
 };
 
-/// Checkpoint/cache provenance of one stage artifact (mirrors the
-/// stage::ArtifactRecord the run produced, without the digests).
-struct StageArtifactStats {
-  std::string name;
-  int paper_step = 0;
-  std::uint64_t bytes = 0;   ///< serialized artifact size
-  bool resumed = false;      ///< loaded from the checkpoint, not computed
-  double seconds = 0.0;      ///< wall time to compute (or load) it
-};
-
-/// One sequential-aligner phase aggregated across all buckets of the run.
-struct AlignerPhaseSummary {
-  std::string name;
-  double wall_seconds = 0.0;
-  std::uint64_t runs = 0;
-  std::uint64_t cache_hits = 0;
-};
-
 /// End-to-end instrumentation of one pipeline run.
 ///
 /// Two notions of time are reported (README "Parallelism model"):
@@ -88,14 +72,16 @@ struct PipelineStats {
   std::vector<std::size_t> bucket_sizes;
   double wall_seconds = 0.0;
 
-  /// Stage artifacts in execution order (filled when the run checkpointed
-  /// or resumed; empty otherwise).
-  std::vector<StageArtifactStats> artifacts;
+  /// The stage runner's artifact rows in execution order. Every run fills
+  /// this, with or without a checkpoint directory; `resumed` marks the rows
+  /// loaded from a checkpoint instead of computed.
+  std::vector<stage::ArtifactRecord> artifacts;
   /// Number of stages served from the checkpoint instead of recomputed.
   std::uint64_t resumed_stages = 0;
-  /// Per-phase breakdown of the sequential aligner runs (default aligner
-  /// only; filled when the pipeline owns the phase recorder).
-  std::vector<AlignerPhaseSummary> aligner_phases;
+  /// Per-phase breakdown of the default aligner's calls in this run (every
+  /// bucket plus the root's ancestor alignment); empty when a caller-provided
+  /// SampleAlignDConfig::local_aligner ran instead.
+  std::vector<msa::AlignerPhaseStats::Phase> aligner_phases;
   /// One-line process-wide artifact-cache report ("" when caching is off).
   std::string cache_note;
   /// Checkpoint-robustness notes: artifacts/manifests quarantined (renamed

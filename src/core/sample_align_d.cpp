@@ -86,64 +86,14 @@ constexpr std::array<StageInfo, kNumStages> kStageInfo{{
     {"divergent polish (root)", CommPattern::None},
 }};
 
-/// Per-(stage, rank) accounting of the staged executor: CPU seconds of the
-/// worker that ran the rank's segment (immune to host oversubscription, but
-/// blind to shared-pool workers a threaded local aligner borrows), wall
-/// seconds, and bytes the rank would send on a real cluster. Resumed stages
-/// never execute their compute, so their slots stay zero — reflecting that
-/// no work was done.
-class RunStats {
- public:
-  explicit RunStats(int p) {
-    for (auto& v : cpu_) v.assign(static_cast<std::size_t>(p), 0.0);
-    for (auto& v : wall_) v.assign(static_cast<std::size_t>(p), 0.0);
-    for (auto& v : bytes_) v.assign(static_cast<std::size_t>(p), 0);
-  }
-
-  void add_time(int stage, int rank, double cpu, double wall) {
-    cpu_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(rank)] +=
-        cpu;
-    wall_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(rank)] +=
-        wall;
-  }
-  void add_bytes(int stage, int rank, std::uint64_t bytes) {
-    bytes_[static_cast<std::size_t>(stage)][static_cast<std::size_t>(rank)] +=
-        bytes;
-  }
-
-  /// Root-only segment (pivot selection, global-ancestor alignment, glue,
-  /// polish) charged to rank 0.
-  template <typename Fn>
-  void timed_root(int stage, Fn&& fn) {
-    util::ThreadCpuTimer cpu;
-    util::Stopwatch watch;
-    fn();
-    add_time(stage, 0, cpu.seconds(), watch.seconds());
-  }
-
-  void export_to(PipelineStats& stats) const {
-    for (int s = 0; s < kNumStages; ++s) {
-      auto& st = stats.stages[static_cast<std::size_t>(s)];
-      st.rank_seconds = cpu_[static_cast<std::size_t>(s)];
-      st.rank_wall_seconds = wall_[static_cast<std::size_t>(s)];
-      for (std::uint64_t b : bytes_[static_cast<std::size_t>(s)]) {
-        st.total_bytes += b;
-        st.max_bytes_per_rank = std::max(st.max_bytes_per_rank, b);
-      }
-    }
-  }
-
- private:
-  std::array<std::vector<double>, kNumStages> cpu_{};
-  std::array<std::vector<double>, kNumStages> wall_{};
-  std::array<std::vector<std::uint64_t>, kNumStages> bytes_{};
-};
-
 /// Runs fn(rank) for every rank concurrently — one deterministic chunk per
-/// rank — charging each rank's CPU and wall time to `stage`. fn must
-/// write only to per-rank slots; chunk geometry never depends on
-/// scheduling, so neither do outputs.
-void for_each_rank(RunStats& rs, int stage, int p,
+/// rank — adding each rank's CPU seconds (of the worker that ran the rank's
+/// segment: immune to host oversubscription, but blind to shared-pool
+/// workers a threaded local aligner borrows) and wall seconds to its own
+/// slots of `st`. fn must write only to per-rank slots; chunk geometry never
+/// depends on scheduling, so neither do outputs. Resumed stages never run
+/// fn, so their slots stay zero — reflecting that no work was done.
+void for_each_rank(StageStats& st, int p,
                    const std::function<void(int)>& fn) {
   util::parallel_for(
       static_cast<std::size_t>(p),
@@ -152,11 +102,52 @@ void for_each_rank(RunStats& rs, int stage, int p,
           util::ThreadCpuTimer cpu;
           util::Stopwatch watch;
           fn(static_cast<int>(r));
-          rs.add_time(stage, static_cast<int>(r), cpu.seconds(),
-                      watch.seconds());
+          st.rank_seconds[r] += cpu.seconds();
+          st.rank_wall_seconds[r] += watch.seconds();
         }
       },
       static_cast<unsigned>(p));
+}
+
+/// Root-only segment (pivot selection, global-ancestor alignment, glue,
+/// polish) charged to rank 0.
+template <typename Fn>
+void timed_root(StageStats& st, Fn&& fn) {
+  util::ThreadCpuTimer cpu;
+  util::Stopwatch watch;
+  fn();
+  st.rank_seconds[0] += cpu.seconds();
+  st.rank_wall_seconds[0] += watch.seconds();
+}
+
+/// The p == 1 run's only rank runs undisturbed on the host, so its wall time
+/// *is* the dedicated-node time (and avoids the coarse granularity some
+/// containers give CLOCK_THREAD_CPUTIME_ID).
+template <typename Fn>
+Alignment timed_alone(StageStats& st, Fn&& fn) {
+  util::Stopwatch watch;
+  Alignment a = fn();
+  st.rank_seconds[0] = st.rank_wall_seconds[0] = watch.seconds();
+  return a;
+}
+
+/// The aligner every rank runs: the caller's, or MiniMuscle (the paper's
+/// choice) recording its phases into `phases`.
+std::shared_ptr<const msa::MsaAlgorithm> local_aligner(
+    const SampleAlignDConfig& config, msa::AlignerPhaseStats* phases) {
+  if (config.local_aligner) return config.local_aligner;
+  msa::MuscleOptions o;
+  o.threads = config.threads;
+  o.use_artifact_cache = config.use_artifact_cache;
+  o.phase_stats = phases;
+  // Graceful memory degradation: a --max-memory bound shrinks the
+  // full-traceback budget (~3 bytes/cell of trace) so big merges switch to
+  // the output-identical checkpointed-traceback path instead of the process
+  // dying on an allocation. Not hashed — it never changes output.
+  o.max_trace_cells = util::clamp_trace_cells(
+      msa::detail::kDefaultProfileTraceCells, config.budget.max_memory_bytes,
+      3);
+  return std::make_shared<msa::MuscleAligner>(o);
 }
 
 void sort_refs(std::vector<RankedRef>& refs) {
@@ -305,23 +296,6 @@ SampleAlignD::SampleAlignD(SampleAlignDConfig config)
     : config_(std::move(config)) {
   if (config_.num_procs <= 0)
     throw std::invalid_argument("SampleAlignD: num_procs must be > 0");
-  if (!config_.local_aligner) {
-    if (config_.phase_stats == nullptr)
-      owned_phase_stats_ = std::make_shared<msa::AlignerPhaseStats>();
-    msa::MuscleOptions o;
-    o.threads = config_.threads;
-    o.use_artifact_cache = config_.use_artifact_cache;
-    o.phase_stats = config_.phase_stats != nullptr ? config_.phase_stats
-                                                   : owned_phase_stats_.get();
-    // Graceful memory degradation: a --max-memory bound shrinks the
-    // full-traceback budget (~3 bytes/cell of trace) so big merges switch
-    // to the output-identical checkpointed-traceback path instead of the
-    // process dying on an allocation. Not hashed — it never changes output.
-    o.max_trace_cells = util::clamp_trace_cells(
-        msa::detail::kDefaultProfileTraceCells,
-        config_.budget.max_memory_bytes, 3);
-    config_.local_aligner = std::make_shared<msa::MuscleAligner>(o);
-  }
 }
 
 util::Digest128 SampleAlignD::pipeline_hash(
@@ -343,7 +317,7 @@ util::Digest128 SampleAlignD::pipeline_hash(
   bio::hash_gaps(h, config_.polish.gaps);
   h.f64(static_cast<double>(config_.polish.min_gain));
   bio::hash_matrix(h, *config_.matrix);
-  config_.local_aligner->hash_config(h);
+  local_aligner(config_, nullptr)->hash_config(h);
   // threads is deliberately NOT hashed: any thread count is bit-identical,
   // so a checkpoint written with -t 8 must resume under -t 1 and vice versa.
   const util::Digest128 in = bio::sequence_set_hash(seqs);
@@ -370,24 +344,27 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
   const auto n = seqs.size();
   util::Stopwatch wall;
 
-  msa::AlignerPhaseStats* phase_rec = config_.phase_stats != nullptr
-                                          ? config_.phase_stats
-                                          : owned_phase_stats_.get();
-  if (phase_rec != nullptr) phase_rec->reset();
+  msa::AlignerPhaseStats phases;
+  const auto aligner = local_aligner(config_, &phases);
 
-  if (stats) {
-    *stats = PipelineStats{};
-    stats->num_procs = p;
-    stats->threads = config_.threads;
-    stats->num_sequences = n;
-    stats->stages.resize(kNumStages);
-    for (int s = 0; s < kNumStages; ++s) {
-      stats->stages[static_cast<std::size_t>(s)].name =
-          kStageInfo[static_cast<std::size_t>(s)].name;
-      stats->stages[static_cast<std::size_t>(s)].pattern =
-          kStageInfo[static_cast<std::size_t>(s)].pattern;
-    }
+  // The run writes its one record in place: the caller's, or a local one.
+  PipelineStats local_stats;
+  PipelineStats& st = stats != nullptr ? *stats : local_stats;
+  st = PipelineStats{};
+  st.num_procs = p;
+  st.threads = config_.threads;
+  st.num_sequences = n;
+  st.stages.resize(kNumStages);
+  for (std::size_t s = 0; s < kNumStages; ++s) {
+    st.stages[s].name = kStageInfo[s].name;
+    st.stages[s].pattern = kStageInfo[s].pattern;
+    st.stages[s].rank_seconds.assign(up, 0.0);
+    st.stages[s].rank_wall_seconds.assign(up, 0.0);
   }
+  // Bytes each rank sends per stage. Ranks run concurrently, so each adds
+  // only to its own slot; the stage totals are folded in once, at the end.
+  std::vector<std::vector<std::uint64_t>> rank_bytes(
+      kNumStages, std::vector<std::uint64_t>(up, 0));
 
   // Deadline clock starts here; the budget is visible process-wide so
   // parallel_for chunks and guide-tree merges poll it without plumbing.
@@ -397,29 +374,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
   stage::StageContext ctx(config_.checkpoint, pipeline_hash(seqs));
   stage::StageRunner runner(ctx);
 
-  // Checkpoint/cache provenance shared by both exits below.
-  const auto finish_stats = [&](PipelineStats& st) {
+  // Run-level fields shared by both exits below.
+  const auto finish = [&] {
     st.wall_seconds = wall.seconds();
-    for (const auto& rec : runner.records()) {
-      StageArtifactStats a;
-      a.name = rec.name;
-      a.paper_step = rec.paper_step;
-      a.bytes = rec.bytes;
-      a.resumed = rec.resumed;
-      a.seconds = rec.seconds;
-      st.artifacts.push_back(std::move(a));
-    }
+    st.artifacts = runner.records();
     st.resumed_stages = runner.resumed_stages();
-    if (phase_rec != nullptr) {
-      for (const auto& ph : phase_rec->snapshot()) {
-        AlignerPhaseSummary s;
-        s.name = ph.name;
-        s.wall_seconds = ph.wall_seconds;
-        s.runs = ph.runs;
-        s.cache_hits = ph.cache_hits;
-        st.aligner_phases.push_back(std::move(s));
-      }
-    }
+    st.aligner_phases = phases.snapshot();
     if (config_.use_artifact_cache) {
       const auto& cache = util::ArtifactCache::process_cache();
       st.cache_note = util::cache_summary(cache.stats(), cache.capacity());
@@ -430,45 +390,28 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
   // p == 1: the pipeline degenerates to the sequential aligner (no
   // communication, no tweak — matching the paper's baseline column).
   if (p == 1) {
-    // A single rank runs undisturbed on the host, so wall time *is* the
-    // dedicated-node time (and avoids the coarse granularity some
-    // containers give CLOCK_THREAD_CPUTIME_ID).
-    double align_cpu = 0.0;
     Alignment aln = runner.run(
         "bucket-align", 11,
         [&] {
-          util::Stopwatch cpu;
-          Alignment a = config_.local_aligner->align(seqs);
-          align_cpu = cpu.seconds();
-          return a;
+          return timed_alone(st.stages[kLocalAlign],
+                             [&] { return aligner->align(seqs); });
         },
         par::write_alignment, par::read_alignment);
-    if (stats) {
-      stats->stages[kLocalAlign].rank_seconds = {align_cpu};
-      stats->stages[kLocalAlign].rank_wall_seconds = {align_cpu};
-    }
     if (config_.polish_divergent && aln.num_rows() >= 3) {
-      double polish_cpu = 0.0;
       aln = runner.run(
           "polish", 0,
           [&] {
-            util::Stopwatch cpu;
-            Alignment a = aln;
-            (void)msa::polish_divergent_rows(a, *config_.matrix,
-                                             config_.polish);
-            polish_cpu = cpu.seconds();
-            return a;
+            return timed_alone(st.stages[kPolish], [&] {
+              Alignment a = aln;
+              (void)msa::polish_divergent_rows(a, *config_.matrix,
+                                               config_.polish);
+              return a;
+            });
           },
           par::write_alignment, par::read_alignment);
-      if (stats) {
-        stats->stages[kPolish].rank_seconds = {polish_cpu};
-        stats->stages[kPolish].rank_wall_seconds = {polish_cpu};
-      }
     }
-    if (stats) {
-      stats->bucket_sizes = {n};
-      finish_stats(*stats);
-    }
+    st.bucket_sizes = {n};
+    finish();
     return aln;
   }
 
@@ -480,8 +423,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       config_.samples_per_proc > 0
           ? static_cast<std::size_t>(config_.samples_per_proc)
           : static_cast<std::size_t>(p - 1);
-
-  RunStats rs(p);
 
   /// Materializes the sequences a partition references (the artifact form
   /// stores indices; the sequences always come back from the input span, so
@@ -519,7 +460,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       "local-rank", 2,
       [&] {
         RankedPartition out = blocks;
-        for_each_rank(rs, kLocalRank, p, [&](int r) {
+        for_each_rank(st.stages[kLocalRank], p, [&](int r) {
           auto& part = out[static_cast<std::size_t>(r)];
           const std::vector<double> ranks =
               kmer::centralized_ranks(seqs_of(part), config_.kmer);
@@ -535,7 +476,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       "local-sort", 3,
       [&] {
         RankedPartition out = cur;
-        for_each_rank(rs, kLocalSort, p, [&](int r) {
+        for_each_rank(st.stages[kLocalSort], p, [&](int r) {
           sort_refs(out[static_cast<std::size_t>(r)]);
         });
         return out;
@@ -551,7 +492,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "sample-select", 4,
         [&] {
           std::vector<std::vector<std::uint64_t>> out(up);
-          for_each_rank(rs, kSampleSelect, p, [&](int r) {
+          for_each_rank(st.stages[kSampleSelect], p, [&](int r) {
             const auto& items = cur[static_cast<std::size_t>(r)];
             const std::size_t k =
                 std::min(samples_per_proc, items.empty() ? 0 : items.size());
@@ -573,11 +514,12 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           // own-payload × (p-1) per rank. The payloads are only sized, never
           // decoded: ranks share the input, so the samples are rebuilt from
           // the gathered indices below.
-          for_each_rank(rs, kSampleExchange, p, [&](int r) {
+          for_each_rank(st.stages[kSampleExchange], p, [&](int r) {
             ByteWriter w;
             par::write_sequences(
                 w, seqs_of_indices(sample_idx[static_cast<std::size_t>(r)]));
-            rs.add_bytes(kSampleExchange, r, w.size() * (up - 1));
+            rank_bytes[kSampleExchange][static_cast<std::size_t>(r)] +=
+                w.size() * (up - 1);
           });
           std::vector<std::uint64_t> flat;
           for (const auto& list : sample_idx)
@@ -592,7 +534,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "global-rank", 6,
         [&] {
           RankedPartition out = cur;
-          for_each_rank(rs, kGlobalRank, p, [&](int r) {
+          for_each_rank(st.stages[kGlobalRank], p, [&](int r) {
             auto& part = out[static_cast<std::size_t>(r)];
             const std::vector<double> ranks = kmer::ranks_against(
                 kmer::build_profiles(seqs_of(part), config_.kmer),
@@ -609,7 +551,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "global-sort", 7,
         [&] {
           RankedPartition out = cur;
-          for_each_rank(rs, kGlobalSort, p, [&](int r) {
+          for_each_rank(st.stages[kGlobalSort], p, [&](int r) {
             sort_refs(out[static_cast<std::size_t>(r)]);
           });
           return out;
@@ -623,7 +565,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       "pivot-select", 8,
       [&] {
         std::vector<std::vector<double>> cands(up);
-        for_each_rank(rs, kPivotGather, p, [&](int r) {
+        for_each_rank(st.stages[kPivotGather], p, [&](int r) {
           const auto ur = static_cast<std::size_t>(r);
           std::vector<double> keys;
           keys.reserve(cur[ur].size());
@@ -632,17 +574,17 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           ByteWriter w;
           w.u32(static_cast<std::uint32_t>(cands[ur].size()));
           for (double c : cands[ur]) w.f64(c);
-          rs.add_bytes(kPivotGather, r, r == 0 ? 0 : w.size());
+          rank_bytes[kPivotGather][ur] += r == 0 ? 0 : w.size();
         });
         std::vector<double> chosen;
-        rs.timed_root(kPivotSelect, [&] {
+        timed_root(st.stages[kPivotSelect], [&] {
           std::vector<double> all;
           for (const auto& c : cands) all.insert(all.end(), c.begin(), c.end());
           chosen = choose_pivots(std::move(all), p);
           ByteWriter pw;
           pw.u32(static_cast<std::uint32_t>(chosen.size()));
           for (double v : chosen) pw.f64(v);
-          rs.add_bytes(kPivotBcast, 0, pw.size() * (up - 1));
+          rank_bytes[kPivotBcast][0] += pw.size() * (up - 1);
         });
         return chosen;
       },
@@ -655,7 +597,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         // send[src][dst], in src-local order — the deterministic equivalent
         // of the personalized all-to-all's per-destination messages.
         std::vector<RankedPartition> send(up, RankedPartition(up));
-        for_each_rank(rs, kBucketPartition, p, [&](int r) {
+        for_each_rank(st.stages[kBucketPartition], p, [&](int r) {
           const auto ur = static_cast<std::size_t>(r);
           std::vector<ByteWriter> writers(up);
           std::vector<std::uint32_t> counts(up, 0);
@@ -674,10 +616,10 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
             const Bytes b = writers[d].take();
             if (d != ur) sent += b.size();
           }
-          rs.add_bytes(kRedistribute, r, sent);
+          rank_bytes[kRedistribute][ur] += sent;
         });
         RankedPartition out(up);
-        for_each_rank(rs, kRedistribute, p, [&](int d) {
+        for_each_rank(st.stages[kRedistribute], p, [&](int d) {
           const auto ud = static_cast<std::size_t>(d);
           for (std::size_t src = 0; src < up; ++src)
             out[ud].insert(out[ud].end(), send[src][ud].begin(),
@@ -693,25 +635,26 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
       "bucket-align", 11,
       [&] {
         std::vector<Alignment> out(up);
-        for_each_rank(rs, kLocalAlign, p, [&](int r) {
+        for_each_rank(st.stages[kLocalAlign], p, [&](int r) {
           const auto ur = static_cast<std::size_t>(r);
           const std::vector<Sequence> bucket_seqs = seqs_of(buckets[ur]);
           if (!bucket_seqs.empty())
-            out[ur] = config_.local_aligner->align(bucket_seqs);
+            out[ur] = aligner->align(bucket_seqs);
         });
         return out;
       },
       stage::write_alignments, stage::read_alignments);
 
-  Alignment result;
+  Sequence ga;                             // global ancestor (steps 12-13)
+  std::vector<std::vector<EditOp>> paths;  // tweak paths (step 14)
   if (config_.ancestor_refinement) {
     // Steps 12-13: local ancestors; root aligns them into the global
     // ancestor and broadcasts it.
-    const Sequence ga = runner.run(
+    ga = runner.run(
         "ancestor", 12,
         [&] {
           std::vector<Sequence> ancestors(up);
-          for_each_rank(rs, kAncestorExtract, p, [&](int r) {
+          for_each_rank(st.stages[kAncestorExtract], p, [&](int r) {
             const auto ur = static_cast<std::size_t>(r);
             const Alignment& local_aln = locals[ur];
             ancestors[ur] =
@@ -724,14 +667,15 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
                   local_aln, "ancestor_" + std::to_string(r),
                   config_.consensus);
           });
-          for_each_rank(rs, kAncestorGather, p, [&](int r) {
+          for_each_rank(st.stages[kAncestorGather], p, [&](int r) {
             ByteWriter w;
             par::write_sequence(w, ancestors[static_cast<std::size_t>(r)]);
-            rs.add_bytes(kAncestorGather, r, r == 0 ? 0 : w.size());
+            rank_bytes[kAncestorGather][static_cast<std::size_t>(r)] +=
+                r == 0 ? 0 : w.size();
           });
           Sequence global("global_ancestor", std::vector<std::uint8_t>{},
                           bio::AlphabetKind::AminoAcid);
-          rs.timed_root(kAncestorAlign, [&] {
+          timed_root(st.stages[kAncestorAlign], [&] {
             std::vector<Sequence> present;
             for (const Sequence& a : ancestors)
               if (!a.empty()) present.push_back(a);
@@ -742,13 +686,13 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
                                     present[0].codes().end()),
                                 present[0].alphabet_kind());
             } else if (!present.empty()) {
-              const Alignment anc_aln = config_.local_aligner->align(present);
+              const Alignment anc_aln = aligner->align(present);
               global = msa::consensus_sequence(anc_aln, "global_ancestor",
                                                config_.consensus);
             }
             ByteWriter gw;
             par::write_sequence(gw, global);
-            rs.add_bytes(kAncestorBcast, 0, gw.size() * (up - 1));
+            rank_bytes[kAncestorBcast][0] += gw.size() * (up - 1);
           });
           return global;
         },
@@ -756,11 +700,11 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
 
     // Step 14: tweak — profile-profile align the local alignment against
     // the global-ancestor profile.
-    const std::vector<std::vector<EditOp>> paths = runner.run(
+    paths = runner.run(
         "tweak", 14,
         [&] {
           std::vector<std::vector<EditOp>> out(up);
-          for_each_rank(rs, kTweak, p, [&](int r) {
+          for_each_rank(st.stages[kTweak], p, [&](int r) {
             const auto ur = static_cast<std::size_t>(r);
             const Alignment& local_aln = locals[ur];
             if (!local_aln.empty()) {
@@ -781,49 +725,33 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
           return out;
         },
         stage::write_paths, stage::read_paths);
-
-    // Step 15: glue at the root on the shared ancestor coordinates.
-    result = runner.run(
-        "glue", 15,
-        [&] {
-          for_each_rank(rs, kGlueGather, p, [&](int r) {
-            const auto ur = static_cast<std::size_t>(r);
-            ByteWriter w;
-            par::write_alignment(w, locals[ur]);
-            const Bytes ops_bytes = encode_ops(paths[ur]);
-            w.bytes(ops_bytes);
-            rs.add_bytes(kGlueGather, r, r == 0 ? 0 : w.size());
-          });
-          Alignment reordered;
-          rs.timed_root(kGlue, [&] {
-            const Alignment glued = glue_on_ancestor(
-                locals, paths, ga.size(), seqs[0].alphabet_kind());
-            reordered = reorder_rows(glued, pos_of_id);
-          });
-          return reordered;
-        },
-        par::write_alignment, par::read_alignment);
-  } else {
-    // Ablation: no ancestor constraint — gather raw bucket alignments and
-    // concatenate block-diagonally.
-    result = runner.run(
-        "glue", 15,
-        [&] {
-          for_each_rank(rs, kGlueGather, p, [&](int r) {
-            ByteWriter w;
-            par::write_alignment(w, locals[static_cast<std::size_t>(r)]);
-            rs.add_bytes(kGlueGather, r, r == 0 ? 0 : w.size());
-          });
-          Alignment reordered;
-          rs.timed_root(kGlue, [&] {
-            const Alignment glued =
-                glue_block_diagonal(locals, seqs[0].alphabet_kind());
-            reordered = reorder_rows(glued, pos_of_id);
-          });
-          return reordered;
-        },
-        par::write_alignment, par::read_alignment);
   }
+
+  // Step 15: glue at the root — on the shared global-ancestor coordinates,
+  // or, in the no-ancestor ablation, block-diagonally from the raw bucket
+  // alignments.
+  Alignment result = runner.run(
+      "glue", 15,
+      [&] {
+        for_each_rank(st.stages[kGlueGather], p, [&](int r) {
+          const auto ur = static_cast<std::size_t>(r);
+          ByteWriter w;
+          par::write_alignment(w, locals[ur]);
+          if (config_.ancestor_refinement) w.bytes(encode_ops(paths[ur]));
+          rank_bytes[kGlueGather][ur] += r == 0 ? 0 : w.size();
+        });
+        Alignment reordered;
+        timed_root(st.stages[kGlue], [&] {
+          const bio::AlphabetKind kind = seqs[0].alphabet_kind();
+          const Alignment glued =
+              config_.ancestor_refinement
+                  ? glue_on_ancestor(locals, paths, ga.size(), kind)
+                  : glue_block_diagonal(locals, kind);
+          reordered = reorder_rows(glued, pos_of_id);
+        });
+        return reordered;
+      },
+      par::write_alignment, par::read_alignment);
 
   // Future-work refinement (paper §5): root-side re-alignment of the most
   // divergent rows against the global profile.
@@ -832,7 +760,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         "polish", 0,
         [&] {
           Alignment a;
-          rs.timed_root(kPolish, [&] {
+          timed_root(st.stages[kPolish], [&] {
             a = result;
             (void)msa::polish_divergent_rows(a, *config_.matrix,
                                              config_.polish);
@@ -842,13 +770,16 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
         par::write_alignment, par::read_alignment);
   }
 
-  if (stats) {
-    stats->bucket_sizes.resize(up);
-    for (std::size_t d = 0; d < up; ++d)
-      stats->bucket_sizes[d] = buckets[d].size();
-    rs.export_to(*stats);
-    finish_stats(*stats);
+  st.bucket_sizes.resize(up);
+  for (std::size_t d = 0; d < up; ++d) st.bucket_sizes[d] = buckets[d].size();
+  for (std::size_t s = 0; s < kNumStages; ++s) {
+    for (std::uint64_t b : rank_bytes[s]) {
+      st.stages[s].total_bytes += b;
+      st.stages[s].max_bytes_per_rank =
+          std::max(st.stages[s].max_bytes_per_rank, b);
+    }
   }
+  finish();
 
   result.validate();
   return result;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "core/config.hpp"
@@ -64,8 +63,6 @@ class SampleAlignD {
   [[nodiscard]] msa::Alignment align(std::span<const bio::Sequence> seqs,
                                      PipelineStats* stats = nullptr) const;
 
-  [[nodiscard]] const SampleAlignDConfig& config() const { return config_; }
-
   /// The content hash identifying a run of this configuration over `seqs` —
   /// what checkpoint manifests are keyed by (`salign stages` recomputes it
   /// to verify a directory matches an input).
@@ -74,9 +71,6 @@ class SampleAlignD {
 
  private:
   SampleAlignDConfig config_;
-  /// Recorder behind the default aligner's phase stats when the caller did
-  /// not supply one (SampleAlignDConfig::phase_stats).
-  std::shared_ptr<msa::AlignerPhaseStats> owned_phase_stats_;
 };
 
 }  // namespace salign::core

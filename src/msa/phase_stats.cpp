@@ -28,9 +28,4 @@ std::vector<AlignerPhaseStats::Phase> AlignerPhaseStats::snapshot() const {
   return phases_;
 }
 
-void AlignerPhaseStats::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  phases_.clear();
-}
-
 }  // namespace salign::msa

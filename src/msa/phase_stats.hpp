@@ -11,13 +11,16 @@
 namespace salign::msa {
 
 /// Thread-safe recorder of a sequential aligner's internal phases (distance
-/// matrix, guide tree, progressive pass, refinement). The Sample-Align-D
-/// pipeline hands one recorder to its per-bucket aligner, so a `--stats` run
-/// reports where the sequential time went and which phases were served from
-/// the process-wide artifact cache instead of recomputed.
+/// matrix, guide tree, progressive pass, refinement). Each Sample-Align-D run
+/// hands a fresh recorder to its default aligner, so a `--stats` run reports
+/// where the sequential time went and which phases were served from the
+/// process-wide artifact cache instead of recomputed.
 ///
-/// Phases are aggregated by name across calls (all p buckets of a pipeline
-/// run fold into one row per phase) and reported in first-seen order.
+/// Phases are aggregated by name across calls and reported in first-seen
+/// order. In a pipeline run one row folds every aligner call of the run:
+/// each bucket of two or more sequences, plus the root's alignment of the
+/// local ancestors when two or more exist (so at p=4 a phase typically
+/// reads runs = 5).
 class AlignerPhaseStats {
  public:
   struct Phase {
@@ -29,7 +32,6 @@ class AlignerPhaseStats {
 
   void record(std::string_view name, double wall_seconds, bool cache_hit);
   [[nodiscard]] std::vector<Phase> snapshot() const;
-  void reset();
 
  private:
   mutable std::mutex mu_;

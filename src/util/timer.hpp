@@ -17,20 +17,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch and returns the elapsed time before the reset.
-  double restart() {
-    const double s = seconds();
-    start_ = Clock::now();
-    return s;
-  }
-
-  /// Elapsed seconds since construction or the last restart().
+  /// Elapsed seconds since construction.
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds since construction or the last restart().
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -48,15 +38,8 @@ class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now()) {}
 
-  /// CPU seconds consumed by the calling thread since construction/restart.
+  /// CPU seconds consumed by the calling thread since construction.
   [[nodiscard]] double seconds() const { return now() - start_; }
-
-  double restart() {
-    const double t = now();
-    const double s = t - start_;
-    start_ = t;
-    return s;
-  }
 
   static double now() {
     ::timespec ts{};
@@ -67,20 +50,6 @@ class ThreadCpuTimer {
 
  private:
   double start_;
-};
-
-/// Accumulates elapsed time into a `double` on destruction; convenient for
-/// attributing scoped work to a per-stage accumulator.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double& sink) : sink_(&sink) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { *sink_ += watch_.seconds(); }
-
- private:
-  double* sink_;
-  Stopwatch watch_;
 };
 
 }  // namespace salign::util

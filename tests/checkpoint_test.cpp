@@ -183,6 +183,13 @@ TEST_F(CheckpointTest, PipelineHashIgnoresThreadsButNotConfig) {
   EXPECT_NE(SampleAlignD(cfg).pipeline_hash(other_seqs), base);
 }
 
+// Checkpoint compatibility: the default configuration's pipeline hash over a
+// fixed input must not move, or every existing checkpoint stops resuming.
+TEST(PipelineHash, DefaultConfigHashIsPinned) {
+  const std::vector<Sequence> seqs = family(8, 30, 23);
+  EXPECT_EQ(SampleAlignD().pipeline_hash(seqs).hex(), "7b20d13735b2e949456966d5463af138");
+}
+
 // Warm-cache differential: the second in-process run of the same input must
 // serve the sequential aligner's distance-matrix and guide-tree phases from
 // the process-wide artifact cache (visible as cache_hits in the per-phase

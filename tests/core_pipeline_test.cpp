@@ -478,10 +478,11 @@ struct WirePin {
   std::uint64_t max_bytes_per_rank;
 };
 
-void expect_wire_bytes(const std::vector<Sequence>& seqs,
+void expect_wire_bytes(const SampleAlignDConfig& cfg,
+                       const std::vector<Sequence>& seqs,
                        const std::vector<WirePin>& expect) {
   PipelineStats stats;
-  (void)pipeline(4).align(seqs, &stats);
+  (void)SampleAlignD(cfg).align(seqs, &stats);
   std::size_t next = 0;
   for (const StageStats& s : stats.stages) {
     if (next < expect.size() && s.name == expect[next].stage) {
@@ -497,7 +498,9 @@ void expect_wire_bytes(const std::vector<Sequence>& seqs,
 }
 
 TEST(PipelinePin, WireBytesAtFourRanksAreFixed) {
-  expect_wire_bytes(family(48, 60, 700, 4242),
+  SampleAlignDConfig cfg;
+  cfg.num_procs = 4;
+  expect_wire_bytes(cfg, family(48, 60, 700, 4242),
                     {{"sample exchange", 2778, 702},
                      {"pivot candidate gather", 84, 28},
                      {"pivot broadcast", 84, 84},
@@ -505,7 +508,7 @@ TEST(PipelinePin, WireBytesAtFourRanksAreFixed) {
                      {"ancestor gather", 238, 80},
                      {"global ancestor broadcast", 255, 255},
                      {"glue gather", 2983, 1361}});
-  expect_wire_bytes(genome_input(),
+  expect_wire_bytes(cfg, genome_input(),
                     {{"sample exchange", 3879, 1023},
                      {"pivot candidate gather", 84, 28},
                      {"pivot broadcast", 84, 84},
@@ -513,6 +516,55 @@ TEST(PipelinePin, WireBytesAtFourRanksAreFixed) {
                      {"ancestor gather", 362, 133},
                      {"global ancestor broadcast", 450, 450},
                      {"glue gather", 5121, 2068}});
+
+  // Without the ancestor constraint the glue gather ships the bucket
+  // alignments alone (no tweak paths) and no ancestor traffic exists.
+  cfg.ancestor_refinement = false;
+  expect_wire_bytes(cfg, family(48, 60, 700, 4242),
+                    {{"sample exchange", 2778, 702},
+                     {"pivot candidate gather", 84, 28},
+                     {"pivot broadcast", 84, 84},
+                     {"sequence redistribution", 3357, 1025},
+                     {"glue gather", 2774, 1292}});
+  expect_wire_bytes(cfg, genome_input(),
+                    {{"sample exchange", 3879, 1023},
+                     {"pivot candidate gather", 84, 28},
+                     {"pivot broadcast", 84, 84},
+                     {"sequence redistribution", 4357, 1259},
+                     {"glue gather", 4680, 1930}});
+}
+
+// Every default-aligner call of a run lands in one row per phase: each bucket
+// of two or more sequences, plus the root's alignment of the local ancestors.
+// The recorder is built per run, so a second run on the same SampleAlignD
+// reports the same counts.
+TEST(PipelineStatsTest, AlignerPhaseRunsCountBucketsPlusAncestor) {
+  const auto seqs = family(40, 40, 700, 4343);
+  const SampleAlignD four = pipeline(4);
+  PipelineStats first;
+  (void)four.align(seqs, &first);
+  std::uint64_t aligned_buckets = 0;
+  for (std::size_t b : first.bucket_sizes)
+    if (b >= 2) ++aligned_buckets;
+  ASSERT_EQ(first.bucket_sizes.size(), 4u);
+  ASSERT_FALSE(first.aligner_phases.empty());
+  for (const auto& ph : first.aligner_phases)
+    EXPECT_EQ(ph.runs, aligned_buckets + 1) << ph.name;
+
+  PipelineStats second;
+  (void)four.align(seqs, &second);
+  ASSERT_EQ(second.aligner_phases.size(), first.aligner_phases.size());
+  for (std::size_t i = 0; i < first.aligner_phases.size(); ++i) {
+    EXPECT_EQ(second.aligner_phases[i].name, first.aligner_phases[i].name);
+    EXPECT_EQ(second.aligner_phases[i].runs, first.aligner_phases[i].runs)
+        << first.aligner_phases[i].name;
+  }
+
+  PipelineStats single;
+  (void)pipeline(1).align(seqs, &single);
+  ASSERT_FALSE(single.aligner_phases.empty());
+  for (const auto& ph : single.aligner_phases)
+    EXPECT_EQ(ph.runs, 1u) << ph.name;
 }
 
 TEST(PipelineStatsTest, BroadcastChargesOneMessagePerPeer) {
@@ -543,6 +595,8 @@ TEST(PipelineStatsTest, StageTableContainsPaperStages) {
         "global ancestor broadcast", "ancestor profile tweak", "glue"}) {
     EXPECT_NE(summary.find(stage), std::string::npos) << stage;
   }
+  for (const char* header : {"stage artifact", "aligner phase"})
+    EXPECT_NE(summary.find(header), std::string::npos) << header;
 }
 
 }  // namespace

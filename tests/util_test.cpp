@@ -435,16 +435,6 @@ TEST(Timers, ThreadCpuTimerCountsWork) {
   EXPECT_GT(t.seconds(), 0.0);
 }
 
-TEST(Timers, ScopedTimerAccumulates) {
-  double acc = 0.0;
-  {
-    ScopedTimer st(acc);
-    volatile unsigned x = 0;  // unsigned: the running sum overflows an int
-    for (unsigned i = 0; i < 100000; ++i) x = x + i;
-  }
-  EXPECT_GE(acc, 0.0);
-}
-
 TEST(DefaultThreads, NeverReturnsZero) {
   // std::thread::hardware_concurrency() may legally report 0 (and does on
   // some containers); the "auto" thread knobs must still mean one worker,
