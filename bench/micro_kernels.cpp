@@ -13,13 +13,11 @@
 #include <utility>
 #include <vector>
 
-#include "align/banded.hpp"
 #include "align/distance.hpp"
 #include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
 #include "align/engine/pair_batch.hpp"
-#include "align/global.hpp"
-#include "align/local.hpp"
+#include "align/engine/simd.hpp"
 #include "core/partition.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
@@ -132,35 +130,25 @@ void BM_GlobalAlign(benchmark::State& state) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        align::global_align(seqs[0].codes(), seqs[1].codes(), m, {}));
+        align::engine::global_align(seqs[0].codes(), seqs[1].codes(), m, {}));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GlobalAlign)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
-// The engine's two kernel instantiations, benchmarked side by side so the
-// vector-vs-scalar ratio is part of every baseline (score-only pass and full
-// checkpointed alignment). The score benches pin the FLOAT tier so these
-// rows stay comparable with the pre-integer baselines; the striped integer
-// tiers have their own benches below.
-void engine_global_score_bench(benchmark::State& state,
-                               align::engine::Backend backend) {
+// The engine's float anti-diagonal score pass. Pinned to the FLOAT tier so
+// these rows stay comparable with the pre-integer baselines; the striped
+// integer tiers have their own benches below.
+void BM_EngineGlobalScoreVector(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(align::engine::global_score(
-        seqs[0].codes(), seqs[1].codes(), m, {}, backend, nullptr,
+        seqs[0].codes(), seqs[1].codes(), m, {}, nullptr,
         align::engine::ScoreTier::kFloat));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
-void BM_EngineGlobalScoreVector(benchmark::State& state) {
-  engine_global_score_bench(state, align::engine::Backend::kVector);
-}
 BENCHMARK(BM_EngineGlobalScoreVector)->Arg(400)->Arg(1000);
-void BM_EngineGlobalScoreScalar(benchmark::State& state) {
-  engine_global_score_bench(state, align::engine::Backend::kScalar);
-}
-BENCHMARK(BM_EngineGlobalScoreScalar)->Arg(400)->Arg(1000);
 
 // ---- striped integer score tiers ----------------------------------------------
 //
@@ -194,8 +182,7 @@ void engine_striped_bench(benchmark::State& state, std::size_t len,
   const auto others = mutant_pairs(len, 16, 99, query);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::ScoreBatch batch(query, m, gaps,
-                                  align::engine::default_backend(), tier);
+  align::engine::ScoreBatch batch(query, m, gaps, tier);
   for (auto _ : state)
     for (const auto& o : others) benchmark::DoNotOptimize(batch.score(o));
   set_cells_per_second(state, others.size() * len * len);
@@ -332,24 +319,16 @@ BENCHMARK(BM_DistanceMatrixAlignedShortFloat)->Arg(32);
 // Pinned to the float tier so these rows keep measuring the float
 // checkpointed kernel (comparable with the pre-integer baselines); the
 // striped traceback tiers have their own benches below.
-void engine_global_align_bench(benchmark::State& state,
-                               align::engine::Backend backend) {
+void BM_EngineGlobalAlignVector(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(align::engine::global_align(
-        seqs[0].codes(), seqs[1].codes(), m, {}, backend,
+        seqs[0].codes(), seqs[1].codes(), m, {},
         align::engine::ScoreTier::kFloat));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
-void BM_EngineGlobalAlignVector(benchmark::State& state) {
-  engine_global_align_bench(state, align::engine::Backend::kVector);
-}
 BENCHMARK(BM_EngineGlobalAlignVector)->Arg(400)->Arg(1000);
-void BM_EngineGlobalAlignScalar(benchmark::State& state) {
-  engine_global_align_bench(state, align::engine::Backend::kScalar);
-}
-BENCHMARK(BM_EngineGlobalAlignScalar)->Arg(400)->Arg(1000);
 
 // ---- striped integer FULL-alignment tiers --------------------------------------
 //
@@ -364,8 +343,7 @@ void engine_align_striped_bench(benchmark::State& state, std::size_t len,
   const auto others = mutant_pairs(len, 16, 99, query);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::AlignBatch batch(query, m, gaps,
-                                  align::engine::default_backend(), tier);
+  align::engine::AlignBatch batch(query, m, gaps, tier);
   for (auto _ : state)
     for (const auto& o : others) benchmark::DoNotOptimize(batch.align(o));
   set_cells_per_second(state, others.size() * len * len);
@@ -420,7 +398,7 @@ void BM_BandedAlign(benchmark::State& state) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const auto band = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
-    benchmark::DoNotOptimize(align::banded_global_align(
+    benchmark::DoNotOptimize(align::engine::banded_global_align(
         seqs[0].codes(), seqs[1].codes(), m, {}, band));
   // Approximate banded cell count: rows x (2 * band + 1), clipped.
   const std::size_t width =
@@ -434,20 +412,17 @@ void BM_LocalAlign(benchmark::State& state) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        align::local_align(seqs[0].codes(), seqs[1].codes(), m, {}));
+        align::engine::local_align(seqs[0].codes(), seqs[1].codes(), m, {}));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
 BENCHMARK(BM_LocalAlign)->Arg(100)->Arg(300);
 
-// ---- PSP profile-DP kernel (vectorized wavefront vs scalar reference) ----------
+// ---- PSP profile-DP kernel (vectorized wavefront) ------------------------------
 //
-// Two ~L-column profiles from rose halves, full DP. BM_ProfileDp runs the
-// blocked anti-diagonal wavefront kernel (the default), BM_ProfileDpScalar
-// the retained row-major reference — the pair makes the kernel speedup part
-// of every baseline, like the engine's vector/scalar benches above.
+// Two ~L-column profiles from rose halves, full DP through align_profiles'
+// blocked anti-diagonal wavefront kernel.
 
-void profile_dp_bench(benchmark::State& state,
-                      align::engine::Backend backend) {
+void BM_ProfileDp(benchmark::State& state) {
   const auto seqs = seqs_cache(16, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const std::size_t half = seqs.size() / 2;
@@ -460,19 +435,11 @@ void profile_dp_bench(benchmark::State& state,
   const msa::Profile pr(right, m);
   msa::ProfileAlignOptions po;
   po.gaps = m.default_gaps();
-  po.backend = backend;
   for (auto _ : state)
     benchmark::DoNotOptimize(msa::align_profiles(pl, pr, po));
   set_cells_per_second(state, pl.num_cols() * pr.num_cols());
 }
-void BM_ProfileDp(benchmark::State& state) {
-  profile_dp_bench(state, align::engine::Backend::kVector);
-}
 BENCHMARK(BM_ProfileDp)->Arg(400)->Arg(1000);
-void BM_ProfileDpScalar(benchmark::State& state) {
-  profile_dp_bench(state, align::engine::Backend::kScalar);
-}
-BENCHMARK(BM_ProfileDpScalar)->Arg(400)->Arg(1000);
 
 // ---- task-parallel progressive alignment ---------------------------------------
 //
@@ -574,15 +541,9 @@ BENCHMARK(BM_PsrsPartition)->Arg(10000)->Arg(100000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  using salign::align::engine::Backend;
   benchmark::AddCustomContext(
-      "salign_engine_default",
-      salign::align::engine::backend_name(
-          salign::align::engine::default_backend()));
-  benchmark::AddCustomContext(
-      "salign_engine_vector_lanes",
-      std::to_string(
-          salign::align::engine::backend_lanes(Backend::kVector)));
+      "salign_engine_lanes",
+      std::to_string(salign::align::engine::VecF::kLanes));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

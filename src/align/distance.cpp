@@ -8,7 +8,6 @@
 
 #include "align/engine/batch.hpp"
 #include "align/engine/pair_batch.hpp"
-#include "align/global.hpp"
 #include "util/thread_pool.hpp"
 
 namespace salign::align {
@@ -50,7 +49,7 @@ double alignment_distance(std::span<const std::uint8_t> a,
                           std::span<const std::uint8_t> b,
                           const bio::SubstitutionMatrix& matrix,
                           bio::GapPenalties gaps) {
-  const PairwiseAlignment aln = global_align(a, b, matrix, gaps);
+  const PairwiseAlignment aln = engine::global_align(a, b, matrix, gaps);
   return kimura_distance(fractional_identity(a, b, aln.ops));
 }
 
@@ -193,7 +192,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
       } else {
         // The lane saturated an int8 rail: retake the ladder one tier up.
         ++stats.batch_retries;
-        engine::AlignBatch batch(group[g].a, matrix, gaps, options.backend,
+        engine::AlignBatch batch(group[g].a, matrix, gaps,
                                  engine::ScoreTier::kInt16);
         block[p].global = batch.align(group[g].b);
         stats.ladder += batch.stats();
@@ -201,7 +200,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
       if (options.with_local) {
         const auto [i, j] = pair_from_index(base + p);
         block[p].local = engine::local_align(seqs[i].codes(), seqs[j].codes(),
-                                             matrix, gaps, options.backend);
+                                             matrix, gaps);
       }
     }
     return;
@@ -215,7 +214,7 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
   std::unique_ptr<engine::AlignBatch> batch;
   if (options.band == 0)
     batch = std::make_unique<engine::AlignBatch>(
-        seqs[i].codes(), matrix, gaps, options.backend, options.first_tier);
+        seqs[i].codes(), matrix, gaps, options.first_tier);
   for (const std::size_t p : task.slots) {
     const auto [pi, j] = pair_from_index(base + p);
     if (batch)
@@ -223,11 +222,10 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
     else
       block[p].global =
           engine::banded_global_align(seqs[pi].codes(), seqs[j].codes(),
-                                      matrix, gaps, options.band,
-                                      options.backend);
+                                      matrix, gaps, options.band);
     if (options.with_local)
       block[p].local = engine::local_align(seqs[pi].codes(), seqs[j].codes(),
-                                           matrix, gaps, options.backend);
+                                           matrix, gaps);
   }
   if (batch) stats.ladder += batch->stats();
 }
@@ -249,7 +247,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
   std::size_t batch_cap = 0;
   std::size_t batch_lanes = 1;
   if (options.band == 0 && options.first_tier <= engine::ScoreTier::kInt8) {
-    const engine::PairBatch probe(matrix, gaps, options.backend);
+    const engine::PairBatch probe(matrix, gaps);
     batch_cap = probe.max_len();
     batch_lanes = probe.lanes();
   }
@@ -271,8 +269,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
           std::unique_ptr<engine::PairBatch> pb;
           for (std::size_t t = begin; t < end; ++t) {
             if (tasks[t].batched && !pb)
-              pb = std::make_unique<engine::PairBatch>(matrix, gaps,
-                                                       options.backend);
+              pb = std::make_unique<engine::PairBatch>(matrix, gaps);
             run_pair_task(tasks[t], seqs, matrix, gaps, options, base,
                           pb.get(), block, task_stats[t]);
           }
@@ -303,7 +300,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps,
-                                   options.backend, options.first_tier);
+                                   options.first_tier);
           self[i] = batch.score(seqs[i].codes());
         }
       },
@@ -321,7 +318,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
           const std::size_t i = (r % 2 == 0) ? r / 2 : n - 1 - r / 2;
           if (i == 0) continue;
           engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps,
-                                   options.backend, options.first_tier);
+                                   options.first_tier);
           for (std::size_t j = 0; j < i; ++j) {
             const double denom = std::min(self[i], self[j]);
             if (denom <= 0.0) {

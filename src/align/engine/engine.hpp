@@ -22,21 +22,6 @@ inline constexpr float kNegInf = -0.25F * std::numeric_limits<float>::max();
 
 namespace engine {
 
-/// Which kernel instantiation to run. Both are compiled into the library;
-/// the vector backend aliases the scalar one on compilers without
-/// GCC/Clang vector extensions.
-enum class Backend : std::uint8_t {
-  kScalar,  ///< 1-lane retained reference semantics
-  kVector,  ///< multi-lane anti-diagonal kernel (ISA-dependent width:
-            ///< 8 lanes under AVX, 4 under SSE/NEON; backend_lanes() tells)
-};
-
-/// Default dispatch: kVector unless the library was configured with
-/// -DSALIGN_ENGINE_FORCE_SCALAR=ON or the compiler lacks vector extensions.
-[[nodiscard]] Backend default_backend();
-[[nodiscard]] const char* backend_name(Backend backend);
-[[nodiscard]] int backend_lanes(Backend backend);
-
 /// Numeric tier of a score-only pass.
 ///
 /// kAuto runs the adaptive promotion ladder: start at the narrowest tier
@@ -64,7 +49,6 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
                                  std::span<const std::uint8_t> b,
                                  const bio::SubstitutionMatrix& matrix,
                                  bio::GapPenalties gaps,
-                                 Backend backend,
                                  std::size_t* workspace_bytes = nullptr,
                                  ScoreTier first_tier = ScoreTier::kAuto);
 
@@ -81,22 +65,24 @@ enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
                                              std::span<const std::uint8_t> b,
                                              const bio::SubstitutionMatrix& matrix,
                                              bio::GapPenalties gaps,
-                                             Backend backend,
                                              ScoreTier first_tier = ScoreTier::kAuto);
 
-/// Banded global alignment (same band geometry as the historical
-/// banded_global_align: band half-width widened by the length difference).
+/// Banded global alignment: the DP is restricted to a diagonal band of
+/// half-width `band`, widened by the length difference so the (m, n) corner
+/// stays inside. The MAFFT-style aligner and banded distance passes use it
+/// once the band is known, dropping the DP cost from O(L^2) to O(L·band).
 [[nodiscard]] PairwiseAlignment banded_global_align(
     std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
     const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-    std::size_t band, Backend backend);
+    std::size_t band);
 
-/// Local (Smith–Waterman) alignment, checkpointed traceback.
+/// Local (Smith–Waterman) alignment, checkpointed traceback. Returns the
+/// best-scoring local path and its start offsets; an empty path (score 0)
+/// means no positive-scoring region exists.
 [[nodiscard]] LocalAlignment local_align(std::span<const std::uint8_t> a,
                                          std::span<const std::uint8_t> b,
                                          const bio::SubstitutionMatrix& matrix,
-                                         bio::GapPenalties gaps,
-                                         Backend backend);
+                                         bio::GapPenalties gaps);
 
 /// Retained scalar reference kernels: the pre-engine row-major
 /// implementations with a full traceback matrix. They define the exact

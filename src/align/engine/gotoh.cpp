@@ -30,10 +30,15 @@
 
 #include "align/engine/engine.hpp"
 #include "align/engine/query_profile.hpp"
+#include "align/engine/simd.hpp"
 
 namespace salign::align::engine::detail {
 
 namespace {
+
+/// The one kernel instantiation: VecF is the native float vector, or the
+/// 1-lane ScalarF on compilers without vector extensions (simd.hpp).
+using V = VecF;
 
 enum State : std::uint8_t { kM = 0, kX = 1, kY = 2, kStop = 3 };
 
@@ -254,7 +259,7 @@ struct DiagWorkspace {
 /// `sink.diagonal()` after every diagonal; tracks the local best-M cell when
 /// `best` is non-null; writes the (r0+rows, jcap) corner state values into
 /// `corner[3]` when non-null.
-template <typename V, bool kLocal, typename Sink>
+template <bool kLocal, typename Sink>
 void run_diagonals(const Problem& pb, std::size_t r0, std::size_t rows,
                    std::size_t jcap, const float* seed_m, const float* seed_x,
                    const float* seed_y, DiagWorkspace& ws, Sink&& sink,
@@ -522,7 +527,7 @@ std::uint8_t came_from_local(const Block& blk, std::size_t i, std::size_t j,
 
 /// Recomputes block rows [r0+1, top] x cols [0, jcap] from the checkpoint at
 /// r0, storing all state values for the traceback walk.
-template <typename V, bool kLocal>
+template <bool kLocal>
 void load_block(const ForwardState& fs, const Checkpoints& cp, std::size_t top,
                 std::size_t jcap, DiagWorkspace& ws, Block& blk) {
   const std::size_t k = cp.interval;
@@ -537,15 +542,14 @@ void load_block(const ForwardState& fs, const Checkpoints& cp, std::size_t top,
     blk.x[at] = sx[j];
     blk.y[at] = sy[j];
   }
-  run_diagonals<V, kLocal>(fs.pb, r0, top - r0, jcap, sm, sx, sy, ws,
-                           BlockSink{&blk}, nullptr, nullptr);
+  run_diagonals<kLocal>(fs.pb, r0, top - r0, jcap, sm, sx, sy, ws,
+                        BlockSink{&blk}, nullptr, nullptr);
 }
 
 }  // namespace
 
 // ---- entry points ----------------------------------------------------------
 
-template <typename V>
 float global_score_impl(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         const bio::SubstitutionMatrix& matrix,
@@ -554,14 +558,13 @@ float global_score_impl(std::span<const std::uint8_t> a,
   const ForwardState fs(a, b, matrix, gaps, band, banded, /*local=*/false);
   DiagWorkspace ws;
   float corner[3] = {kNegInf, kNegInf, kNegInf};
-  run_diagonals<V, false>(fs.pb, 0, a.size(), b.size(), fs.seed_m.data(),
-                          fs.seed_x.data(), fs.seed_y.data(), ws, NullSink{},
-                          nullptr, corner);
+  run_diagonals<false>(fs.pb, 0, a.size(), b.size(), fs.seed_m.data(),
+                       fs.seed_x.data(), fs.seed_y.data(), ws, NullSink{},
+                       nullptr, corner);
   if (workspace_bytes != nullptr) *workspace_bytes = fs.bytes() + ws.bytes();
   return std::max({corner[kM], corner[kX], corner[kY]});
 }
 
-template <typename V>
 PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
                                     std::span<const std::uint8_t> b,
                                     const bio::SubstitutionMatrix& matrix,
@@ -575,9 +578,9 @@ PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
   cp.init(checkpoint_interval(m), m, n + 1);
   DiagWorkspace ws;
   float corner[3] = {kNegInf, kNegInf, kNegInf};
-  run_diagonals<V, false>(fs.pb, 0, m, n, fs.seed_m.data(), fs.seed_x.data(),
-                          fs.seed_y.data(), ws, CheckpointSink{&cp}, nullptr,
-                          corner);
+  run_diagonals<false>(fs.pb, 0, m, n, fs.seed_m.data(), fs.seed_x.data(),
+                       fs.seed_y.data(), ws, CheckpointSink{&cp}, nullptr,
+                       corner);
 
   PairwiseAlignment out;
   std::uint8_t state = pick_final_state(corner);
@@ -598,7 +601,7 @@ PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
       continue;
     }
     if (blk.rows == 0 || i <= blk.r0)
-      load_block<V, false>(fs, cp, i, j, ws, blk);
+      load_block<false>(fs, cp, i, j, ws, blk);
     const std::uint8_t from =
         came_from_global(blk, i, j, state, gaps.open, gaps.extend);
     switch (state) {
@@ -622,7 +625,6 @@ PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
   return out;
 }
 
-template <typename V>
 LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
                                 std::span<const std::uint8_t> b,
                                 const bio::SubstitutionMatrix& matrix,
@@ -636,9 +638,9 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
   cp.init(checkpoint_interval(m), m, n + 1);
   DiagWorkspace ws;
   LocalBest best;
-  run_diagonals<V, true>(fs.pb, 0, m, n, fs.seed_m.data(), fs.seed_x.data(),
-                         fs.seed_y.data(), ws, CheckpointSink{&cp}, &best,
-                         nullptr);
+  run_diagonals<true>(fs.pb, 0, m, n, fs.seed_m.data(), fs.seed_x.data(),
+                      fs.seed_y.data(), ws, CheckpointSink{&cp}, &best,
+                      nullptr);
 
   LocalAlignment out;
   out.score = best.found ? best.value : 0.0F;
@@ -650,7 +652,7 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
   std::uint8_t state = kM;
   while (state != kStop) {
     if (blk.rows == 0 || i <= blk.r0)
-      load_block<V, true>(fs, cp, i, j, ws, blk);
+      load_block<true>(fs, cp, i, j, ws, blk);
     const std::uint8_t from =
         came_from_local(blk, i, j, state, gaps.open, gaps.extend);
     switch (state) {
@@ -676,31 +678,5 @@ LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
   out.b_begin = j;
   return out;
 }
-
-template float global_score_impl<ScalarF>(std::span<const std::uint8_t>,
-                                          std::span<const std::uint8_t>,
-                                          const bio::SubstitutionMatrix&,
-                                          bio::GapPenalties, std::size_t, bool,
-                                          std::size_t*);
-template PairwiseAlignment global_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
-template LocalAlignment local_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties);
-
-#ifdef SALIGN_HAVE_VECTOR_EXT
-template float global_score_impl<VecF>(std::span<const std::uint8_t>,
-                                       std::span<const std::uint8_t>,
-                                       const bio::SubstitutionMatrix&,
-                                       bio::GapPenalties, std::size_t, bool,
-                                       std::size_t*);
-template PairwiseAlignment global_align_impl<VecF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
-template LocalAlignment local_align_impl<VecF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties);
-#endif
 
 }  // namespace salign::align::engine::detail

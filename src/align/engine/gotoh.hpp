@@ -1,14 +1,13 @@
 #pragma once
 
-// Internal kernel entry points of the alignment engine. Only engine.cpp and
-// the tests should include this; everything else goes through
-// align/engine/engine.hpp.
+// Internal float-kernel entry points of the alignment engine. Only the
+// engine's own sources (engine.cpp, batch.cpp) include this; everything else
+// goes through align/engine/engine.hpp.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 
-#include "align/engine/simd.hpp"
 #include "align/pairwise.hpp"
 
 namespace salign::align::engine::detail {
@@ -17,7 +16,6 @@ namespace salign::align::engine::detail {
 /// workspace; `banded` selects the sheared-band cell set of
 /// banded_global_align. `workspace_bytes` (optional) receives the total DP
 /// workspace allocated.
-template <typename V>
 float global_score_impl(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         const bio::SubstitutionMatrix& matrix,
@@ -27,7 +25,6 @@ float global_score_impl(std::span<const std::uint8_t> a,
 /// Full global alignment: anti-diagonal forward pass with row checkpoints
 /// every ~sqrt(m) rows, then block-wise recompute during traceback. Exact
 /// score/op/tie-break parity with the reference kernels.
-template <typename V>
 PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
                                     std::span<const std::uint8_t> b,
                                     const bio::SubstitutionMatrix& matrix,
@@ -36,34 +33,9 @@ PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
 
 /// Full local (Smith–Waterman) alignment with the same checkpointed
 /// traceback machinery.
-template <typename V>
 LocalAlignment local_align_impl(std::span<const std::uint8_t> a,
                                 std::span<const std::uint8_t> b,
                                 const bio::SubstitutionMatrix& matrix,
                                 bio::GapPenalties gaps);
-
-extern template float global_score_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool,
-    std::size_t*);
-extern template PairwiseAlignment global_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
-extern template LocalAlignment local_align_impl<ScalarF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties);
-
-#ifdef SALIGN_HAVE_VECTOR_EXT
-extern template float global_score_impl<VecF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool,
-    std::size_t*);
-extern template PairwiseAlignment global_align_impl<VecF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties, std::size_t, bool);
-extern template LocalAlignment local_align_impl<VecF>(
-    std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-    const bio::SubstitutionMatrix&, bio::GapPenalties);
-#endif
 
 }  // namespace salign::align::engine::detail

@@ -49,25 +49,15 @@ std::int64_t pb_boundary(std::int64_t j, std::int64_t open,
   return j == 0 ? 0 : -(open + ext * (j - 1));
 }
 
+/// The one lane type of the inter-pair kernel: int8, VecI8::kLanes pairs
+/// per pass (1 on compilers without vector extensions).
+using VI = VecI8;
+using Elem = VI::Elem;
+constexpr auto kW = static_cast<std::size_t>(VI::kLanes);
+
 }  // namespace
 
 struct PairBatch::Impl {
-  virtual ~Impl() = default;
-  [[nodiscard]] virtual std::size_t lanes() const = 0;
-  [[nodiscard]] virtual std::size_t max_len() const = 0;
-  virtual void align(std::span<const Pair> pairs, PairwiseAlignment* out,
-                     bool* ok) = 0;
-  [[nodiscard]] virtual std::size_t bytes() const = 0;
-};
-
-namespace {
-
-template <typename VI>
-struct PairBatchImplT final : PairBatch::Impl {
-  using Elem = typename VI::Elem;
-  using Pair = PairBatch::Pair;
-  static constexpr auto kW = static_cast<std::size_t>(VI::kLanes);
-
   detail::IntGate gate;
   int floor_l = 0, ceil_l = 0;
   std::size_t cap = 0;        // max eligible length
@@ -77,8 +67,7 @@ struct PairBatchImplT final : PairBatch::Impl {
   std::vector<Elem> h, e, f;  // (N+1) * M * kW column store
   std::vector<std::uint8_t> a_pack;  // M * kW interleaved query codes
 
-  PairBatchImplT(const bio::SubstitutionMatrix& matrix,
-                 bio::GapPenalties gaps) {
+  Impl(const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps) {
     gate = detail::scan_int_gate(matrix, gaps);
     if (!gate.integral) return;
     const detail::IntRails rails = detail::int_rails<VI>(gate);
@@ -115,9 +104,7 @@ struct PairBatchImplT final : PairBatch::Impl {
                              static_cast<std::uint8_t>(y)))));
   }
 
-  [[nodiscard]] std::size_t lanes() const override { return kW; }
-  [[nodiscard]] std::size_t max_len() const override { return cap; }
-  [[nodiscard]] std::size_t bytes() const override {
+  [[nodiscard]] std::size_t bytes() const {
     return (sub8.capacity() + h.capacity() + e.capacity() + f.capacity()) *
                sizeof(Elem) +
            a_pack.capacity();
@@ -128,17 +115,14 @@ struct PairBatchImplT final : PairBatch::Impl {
     return (j * stride_m + (i - 1)) * kW;
   }
 
-  void align(std::span<const Pair> pairs, PairwiseAlignment* out,
-             bool* ok) override;
+  void align(std::span<const Pair> pairs, PairwiseAlignment* out, bool* ok);
 };
 
-/// Values adapter of one ok lane: full column store, analytic boundaries.
-template <typename VI>
-struct PairTraceValues {
-  using Elem = typename VI::Elem;
-  static constexpr auto kW = static_cast<std::size_t>(VI::kLanes);
+namespace {
 
-  const PairBatchImplT<VI>& impl;
+/// Values adapter of one ok lane: full column store, analytic boundaries.
+struct PairTraceValues {
+  const PairBatch::Impl& impl;
   std::size_t lane, stride_m;
   std::span<const std::uint8_t> a, b;
   std::int64_t open, ext;
@@ -176,9 +160,10 @@ struct PairTraceValues {
   }
 };
 
-template <typename VI>
-void PairBatchImplT<VI>::align(std::span<const Pair> pairs,
-                               PairwiseAlignment* out, bool* ok) {
+}  // namespace
+
+void PairBatch::Impl::align(std::span<const Pair> pairs,
+                            PairwiseAlignment* out, bool* ok) {
   const std::size_t count = std::min<std::size_t>(pairs.size(), kW);
   std::size_t big_m = 0;
   std::size_t big_n = 0;
@@ -292,7 +277,7 @@ void PairBatchImplT<VI>::align(std::span<const Pair> pairs,
     const bool lane_ok = !lane_dead(p);
     ok[p] = lane_ok;
     if (!lane_ok) continue;
-    PairTraceValues<VI> vals{*this,  p,      big_m, pairs[p].a,
+    PairTraceValues vals{*this,  p,      big_m, pairs[p].a,
                              pairs[p].b, open64, ext64};
     const bool traced = detail::integer_global_traceback(
         pairs[p].a.size(), pairs[p].b.size(), vals, &out[p]);
@@ -300,22 +285,16 @@ void PairBatchImplT<VI>::align(std::span<const Pair> pairs,
   }
 }
 
-}  // namespace
-
 PairBatch::PairBatch(const bio::SubstitutionMatrix& matrix,
-                     bio::GapPenalties gaps, Backend backend) {
-  if (backend == Backend::kScalar)
-    impl_ = std::make_unique<PairBatchImplT<ScalarI8>>(matrix, gaps);
-  else
-    impl_ = std::make_unique<PairBatchImplT<VecI8>>(matrix, gaps);
-}
+                     bio::GapPenalties gaps)
+    : impl_(std::make_unique<Impl>(matrix, gaps)) {}
 
 PairBatch::~PairBatch() = default;
 PairBatch::PairBatch(PairBatch&&) noexcept = default;
 PairBatch& PairBatch::operator=(PairBatch&&) noexcept = default;
 
-std::size_t PairBatch::lanes() const { return impl_->lanes(); }
-std::size_t PairBatch::max_len() const { return impl_->max_len(); }
+std::size_t PairBatch::lanes() const { return kW; }
+std::size_t PairBatch::max_len() const { return impl_->cap; }
 
 void PairBatch::align(std::span<const Pair> pairs, PairwiseAlignment* out,
                       bool* ok) {

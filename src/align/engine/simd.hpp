@@ -4,31 +4,33 @@
 
 // Portable fixed-width float SIMD wrappers for the alignment engine.
 //
-// Two backends share one interface so every kernel is written once and
-// instantiated twice:
+// Every kernel is written once against this interface and compiled once,
+// over VecF:
 //
-//   * VecF  — GCC/Clang vector extensions, 8 lanes (the compiler lowers a
-//             32-byte vector to whatever the target ISA provides: 2x SSE,
-//             1x AVX, NEON pairs, ...).
-//   * ScalarF — 1 lane, plain float. This is the compile-time fallback for
-//             compilers without the extension and the path the differential
-//             tests pin the vector path against.
+//   * With GCC/Clang vector extensions, VecF is a native vector (8 lanes
+//     under AVX, 4 under SSE/NEON; the compiler lowers it to whatever the
+//     target ISA provides).
+//   * Without them, VecF aliases ScalarF — 1 lane, plain float — so that
+//     platform keeps a working (narrower) engine.
 //
-// Both backends perform IEEE single-precision adds/subs/maxes in the same
-// per-cell operand order, so kernel results are bit-identical across lanes
+// Both types perform IEEE single-precision adds/subs/maxes in the same
+// per-cell operand order, so kernel results are bit-identical across lane
 // widths — the property the exact-match differential tests rely on.
 //
-// SALIGN_HAVE_VECTOR_EXT is defined when the vector backend is compiled in;
-// the engine's *default* backend additionally honours the
-// SALIGN_ENGINE_FORCE_SCALAR build option (see engine.cpp).
+// SALIGN_HAVE_VECTOR_EXT is defined when VecF is a native vector. The
+// SALIGN_ENGINE_FORCE_SCALAR build option (the release-scalar preset)
+// leaves it undefined, building as if the compiler had no vector
+// extensions; CMake defines that option PUBLIC on the library so every
+// translation unit sees the same VecF.
 
-#if defined(__GNUC__) && !defined(__clang_analyzer__)
+#if defined(__GNUC__) && !defined(__clang_analyzer__) && \
+    !defined(SALIGN_ENGINE_FORCE_SCALAR)
 #define SALIGN_HAVE_VECTOR_EXT 1
 #endif
 
 namespace salign::align::engine {
 
-/// 1-lane backend: the scalar reference semantics.
+/// 1-lane float: VecF on compilers without vector extensions.
 struct ScalarF {
   static constexpr int kLanes = 1;
   float v;
@@ -87,8 +89,8 @@ struct VecF {
 
 #else
 
-// No vector extension: alias the scalar backend so kernel instantiations
-// over VecF still compile (and the engine degrades to one lane everywhere).
+// No vector extension: alias the 1-lane type, so the kernels compile and
+// the engine runs one lane everywhere.
 using VecF = ScalarF;
 
 #endif  // SALIGN_HAVE_VECTOR_EXT

@@ -11,9 +11,9 @@
 //
 //   * VecI8 / VecI16 — GCC/Clang vector extensions, 16 bytes (the native
 //     SSE/NEON register width; wider vectors measured slower here).
-//   * ScalarI8 / ScalarI16 — 1 lane. Compile-time fallback and the
-//     instantiation behind Backend::kScalar, so the striped path is
-//     exercised by the release-scalar preset too.
+//   * ScalarI8 / ScalarI16 — 1 lane. What VecI8 / VecI16 alias on
+//     compilers without vector extensions (and in the release-scalar
+//     preset, which builds as if there were none).
 //
 // Domains: each trait carries a logical<->storage bias. The int8 tier
 // stores logical values v as unsigned bytes v + 128 (Farrar's biased
@@ -108,8 +108,8 @@ using VecI16 = VecIntT<std::int16_t, 0>;
 
 #else
 
-// No vector extension: alias the scalar lanes, exactly as simd.hpp does for
-// floats, so every striped instantiation still compiles.
+// No vector extension: alias the 1-lane types, exactly as simd.hpp does for
+// floats, so the striped kernels still compile.
 using VecI8 = ScalarI8;
 using VecI16 = ScalarI16;
 

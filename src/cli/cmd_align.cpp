@@ -58,9 +58,9 @@ ArgParser make_parser() {
            "cooperatively at the next stage/chunk boundary, leaves a valid\n"
            "checkpoint, and exits 4; --resume completes bit-identically");
   p.option("max-memory", "size", "0",
-           "peak-memory bound, e.g. 512m or 1.5g (0 = none). Exceeding it is\n"
-           "degraded gracefully — profile-merge trace budgets shrink (same\n"
-           "output, checkpointed traceback) — never aborted");
+           "peak-memory bound, e.g. 512m or 1.5g (0 = none). Never changes\n"
+           "the output; profile merges always use checkpointed traceback,\n"
+           "so no stage currently shrinks its working set for it");
   p.flag("stats", "print the per-stage pipeline report to stderr");
   p.flag("sp", "print the alignment's SP score to stderr");
   return p;

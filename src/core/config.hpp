@@ -95,11 +95,12 @@ struct SampleAlignDConfig {
   /// The deadline is polled cooperatively at stage, chunk and merge
   /// boundaries: when it passes, the run stops at the next boundary with
   /// util::DeadlineExceeded, leaving a valid checkpoint `--resume` finishes
-  /// bit-identically. A memory bound degrades gracefully instead of
-  /// aborting: it shrinks the default aligner's full-traceback cell budget
-  /// so large merges take the (output-identical) checkpointed-traceback
-  /// path. Neither limit ever changes the alignment, so neither is part of
-  /// the pipeline hash.
+  /// bit-identically. The memory bound is parsed and carried with the run
+  /// (serve journals it per job), but no stage consults it: the default
+  /// aligner's profile merges always take the checkpointed-traceback
+  /// kernel, so there is no full-trace path left to degrade from. Neither
+  /// limit ever changes the alignment, so neither is part of the pipeline
+  /// hash.
   util::BudgetLimits budget{};
 
   /// Optional cooperative cancellation token, polled at the same

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "align/engine/engine.hpp"
+#include "align/engine/simd.hpp"
 #include "util/table.hpp"
 
 namespace salign::core {
@@ -108,9 +108,9 @@ std::string PipelineStats::summary() const {
   if (!cache_note.empty()) os << cache_note << '\n';
   for (const std::string& note : quarantine_notes)
     os << "checkpoint: " << note << '\n';
-  const align::engine::Backend backend = align::engine::default_backend();
-  os << "alignment engine: " << align::engine::backend_name(backend) << " ("
-     << align::engine::backend_lanes(backend) << " lanes)\n";
+  constexpr int kLanes = align::engine::VecF::kLanes;
+  os << "alignment engine: " << (kLanes > 1 ? "vector" : "scalar") << " ("
+     << kLanes << " lanes)\n";
   return os.str();
 }
 

@@ -140,13 +140,6 @@ std::shared_ptr<const msa::MsaAlgorithm> local_aligner(
   o.threads = config.threads;
   o.use_artifact_cache = config.use_artifact_cache;
   o.phase_stats = phases;
-  // Graceful memory degradation: a --max-memory bound shrinks the
-  // full-traceback budget (~3 bytes/cell of trace) so big merges switch to
-  // the output-identical checkpointed-traceback path instead of the process
-  // dying on an allocation. Not hashed — it never changes output.
-  o.max_trace_cells = util::clamp_trace_cells(
-      msa::detail::kDefaultProfileTraceCells, config.budget.max_memory_bytes,
-      3);
   return std::make_shared<msa::MuscleAligner>(o);
 }
 

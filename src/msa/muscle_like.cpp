@@ -191,7 +191,6 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   po.gaps = matrix_->default_gaps();
   po.weights = tree.leaf_weights();
   po.threads = options_.threads;
-  po.max_trace_cells = options_.max_trace_cells;
   Alignment aln = [&] {
     ScopedPhase phase(ps, "stage1 progressive");
     return progressive_align(seqs, tree, *matrix_, po);

@@ -46,13 +46,6 @@ struct MuscleOptions {
   /// Optional per-phase wall-time / cache-hit recorder (not owned; must
   /// outlive the aligner). Never affects output.
   AlignerPhaseStats* phase_stats = nullptr;
-  /// Full-traceback cell budget of every profile-profile merge (see
-  /// ProfileAlignOptions::max_trace_cells); 0 = the engine default. The
-  /// memory-pressure degradation lever: `--max-memory` shrinks this so big
-  /// merges switch to checkpointed traceback earlier. Both traceback paths
-  /// produce identical alignments, so — like threads — this is excluded
-  /// from hash_config and never invalidates checkpoints or cache entries.
-  std::size_t max_trace_cells = 0;
 };
 
 /// "MiniMuscle": a from-scratch reimplementation of the MUSCLE pipeline

@@ -13,10 +13,10 @@ std::vector<float> occupancies(const Profile& p) {
   return occ;
 }
 
-}  // namespace
-
-ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
-                                  const ProfileAlignOptions& opts) {
+/// The PSP profile DP of (a, b): the wavefront kernel, or the scalar
+/// profile_dp for align_profiles_reference.
+ProfileAlignResult psp_align(const Profile& a, const Profile& b,
+                             const ProfileAlignOptions& opts, bool wavefront) {
   const std::vector<float> occ_a = occupancies(a);
   const std::vector<float> occ_b = occupancies(b);
 
@@ -49,15 +49,32 @@ ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
         sparse_a[ca].emplace_back(static_cast<std::uint8_t>(x), fx);
     }
 
-  // profile_dp announces each DP row via prepare_row, so one dense saxpy
-  // sweep per A column serves every cell of that row and the per-cell call
-  // is a plain array read (no stores inside the DP inner loop). Term order
-  // per cell matches the historical per-cell sparse dot exactly (same
-  // partial-sum sequence), so scores are bit-identical.
+  // Both DPs materialize dense score rows through the scorer (prepare_row,
+  // or the wavefront's block fill via psp_fill_row), so one saxpy sweep per
+  // A column serves every cell of that row and the per-cell score is a
+  // plain array read. Term order per cell matches the historical per-cell
+  // sparse dot exactly (same partial-sum sequence), so scores are
+  // bit-identical.
   const detail::PspRowScorer scorer{&svt, &sparse_a,
                                     std::vector<float>(nb, 0.0F)};
-  return detail::profile_dp(a.num_cols(), b.num_cols(), scorer, occ_a, occ_b,
-                            opts);
+  const std::size_t na = a.num_cols();
+  // The wavefront kernel needs both sides non-empty; profile_dp's leading
+  // gap-run cases cover the empty ones.
+  if (wavefront && na != 0 && nb != 0)
+    return detail::profile_dp_wavefront(na, nb, scorer, occ_a, occ_b, opts);
+  return detail::profile_dp(na, nb, scorer, occ_a, occ_b, opts);
+}
+
+}  // namespace
+
+ProfileAlignResult align_profiles(const Profile& a, const Profile& b,
+                                  const ProfileAlignOptions& opts) {
+  return psp_align(a, b, opts, /*wavefront=*/true);
+}
+
+ProfileAlignResult detail::align_profiles_reference(
+    const Profile& a, const Profile& b, const ProfileAlignOptions& opts) {
+  return psp_align(a, b, opts, /*wavefront=*/false);
 }
 
 float score_profile_path(const Profile& a, const Profile& b,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "align/engine/engine.hpp"
@@ -21,20 +20,13 @@ struct ProfileAlignOptions {
   /// Diagonal band half-width; 0 means full DP. The MAFFT-style aligner
   /// passes FFT-derived bands here.
   std::size_t band = 0;
-  /// Full-traceback cell budget: DPs with (m+1)*(n+1) cells at or below this
-  /// keep the whole traceback matrix; larger ones switch to checkpointed
-  /// traceback (row checkpoints every ~sqrt(m) rows + block recompute), so
-  /// big-bucket merges never materialize an O(m·n) trace. 0 = default
-  /// (4M cells ≈ 12 MB of trace). Results are identical on both paths.
-  /// Applies to the scalar kernel; the vectorized kernel always checkpoints.
+  /// Full-traceback cell budget of the scalar profile_dp: DPs with
+  /// (m+1)*(n+1) cells at or below this keep the whole traceback matrix;
+  /// larger ones switch to checkpointed traceback (row checkpoints every
+  /// ~sqrt(m) rows + block recompute). 0 = default (4M cells ≈ 12 MB of
+  /// trace). Results are identical on both paths. align_profiles ignores
+  /// it: its wavefront kernel always checkpoints.
   std::size_t max_trace_cells = 0;
-  /// Kernel selection for the PSP scorer: kVector runs the blocked
-  /// anti-diagonal wavefront kernel (profile_dp_simd.cpp), kScalar the
-  /// retained row-major reference below — the differential oracle. Scores,
-  /// paths and tie-breaks are bit-identical on both. Scorers without dense
-  /// row preparation (e.g. the T-Coffee consistency scorer) always take the
-  /// reference path.
-  align::engine::Backend backend = align::engine::default_backend();
 };
 
 struct ProfileAlignResult {
@@ -194,6 +186,10 @@ inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
 /// Memory: small problems keep a full traceback matrix; above
 /// ProfileAlignOptions::max_trace_cells the pass checkpoints every ~sqrt(m)
 /// rows and recomputes one row block at a time during traceback.
+///
+/// T-Coffee's consistency scorer runs this in production; for the PSP
+/// scorer it is the retained oracle of profile_dp_wavefront (see
+/// align_profiles_reference).
 template <typename Scorer>
 ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
                               const Scorer& scorer,
@@ -217,13 +213,6 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
     for (std::size_t i = 0; i < m; ++i)
       out.score -= (i == 0 ? open : ext) * occ_a[i];
     return out;
-  }
-
-  // Dense-row scorers take the vectorized wavefront kernel unless the
-  // scalar reference path is requested; results are bit-identical.
-  if constexpr (std::is_same_v<Scorer, PspRowScorer>) {
-    if (opts.backend == align::engine::Backend::kVector)
-      return profile_dp_wavefront(m, n, scorer, occ_a, occ_b, opts);
   }
 
   const std::size_t diff = m > n ? m - n : n - m;
@@ -430,10 +419,17 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
   return out;
 }
 
+/// align_profiles on the scalar profile_dp instead of the wavefront kernel:
+/// the retained differential oracle (bit-identical scores, paths and
+/// tie-breaks), and the only PSP path that honours max_trace_cells.
+[[nodiscard]] ProfileAlignResult align_profiles_reference(
+    const Profile& a, const Profile& b, const ProfileAlignOptions& opts = {});
+
 }  // namespace detail
 
 /// Aligns two profiles with the PSP objective; the result path is in column
-/// space (Match consumes one column of each).
+/// space (Match consumes one column of each). Runs the wavefront kernel
+/// (detail::profile_dp_wavefront).
 [[nodiscard]] ProfileAlignResult align_profiles(
     const Profile& a, const Profile& b, const ProfileAlignOptions& opts = {});
 

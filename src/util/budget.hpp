@@ -119,15 +119,4 @@ class ScopedBudget {
 /// DeadlineExceeded/CancelledError when the run must stop.
 void poll_budget(std::string_view where);
 
-/// Memory-pressure degradation helper: clamps a DP trace-cell budget so
-/// the working set fits under `max_memory_bytes` (0 = no limit, returns
-/// `cells` unchanged). `bytes_per_cell` is the codec's per-cell cost;
-/// `reserve_fraction` is the share of the limit the traceback may claim.
-/// Shrinking a checkpointed-traceback budget changes memory and speed but
-/// never output — which is why this degrades instead of aborting.
-[[nodiscard]] std::uint64_t clamp_trace_cells(std::uint64_t cells,
-                                              std::uint64_t max_memory_bytes,
-                                              std::uint64_t bytes_per_cell,
-                                              double reserve_fraction = 0.25);
-
 }  // namespace salign::util

@@ -3,10 +3,8 @@
 #include <cmath>
 #include <tuple>
 
-#include "align/banded.hpp"
 #include "align/distance.hpp"
-#include "align/global.hpp"
-#include "align/local.hpp"
+#include "align/engine/engine.hpp"
 #include "align/pairwise.hpp"
 #include "bio/sequence.hpp"
 #include "util/rng.hpp"
@@ -17,6 +15,9 @@ namespace {
 using bio::GapPenalties;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
+using engine::banded_global_align;
+using engine::global_align;
+using engine::local_align;
 
 const SubstitutionMatrix& B62() { return SubstitutionMatrix::blosum62(); }
 

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "align/engine/simd.hpp"
 #include "core/sample_align_d.hpp"
 #include "msa/muscle_like.hpp"
 #include "msa/polish.hpp"
@@ -597,6 +598,14 @@ TEST(PipelineStatsTest, StageTableContainsPaperStages) {
   }
   for (const char* header : {"stage artifact", "aligner phase"})
     EXPECT_NE(summary.find(header), std::string::npos) << header;
+  // The engine line reports the lane width of the one kernel build (4 under
+  // SSE/NEON, 8 under AVX, 1 without vector extensions).
+  std::string lanes = "(";
+  lanes += std::to_string(align::engine::VecF::kLanes);
+  lanes += " lanes)\n";
+  const std::size_t engine_line = summary.find("alignment engine: ");
+  ASSERT_NE(engine_line, std::string::npos);
+  EXPECT_NE(summary.find(lanes, engine_line), std::string::npos) << summary;
 }
 
 }  // namespace

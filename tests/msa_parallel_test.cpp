@@ -31,7 +31,6 @@
 namespace salign::msa {
 namespace {
 
-using align::engine::Backend;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
 
@@ -169,9 +168,7 @@ TEST(ProfileDpDifferential, WavefrontMatchesScalarRandomized) {
     // Exercise tiny trace budgets so the scalar side checkpoints too.
     if (rng.chance(0.5)) po.max_trace_cells = 1 + rng.below(4096);
 
-    po.backend = Backend::kScalar;
-    const ProfileAlignResult ref = align_profiles(pa, pb, po);
-    po.backend = Backend::kVector;
+    const ProfileAlignResult ref = detail::align_profiles_reference(pa, pb, po);
     const ProfileAlignResult vec = align_profiles(pa, pb, po);
 
     ASSERT_EQ(ref.score, vec.score) << "rep " << rep;
@@ -191,9 +188,8 @@ TEST(ProfileDpDifferential, DegenerateShapes) {
       const Profile pb(*b, B62());
       ProfileAlignOptions po;
       po.gaps = B62().default_gaps();
-      po.backend = Backend::kScalar;
-      const ProfileAlignResult ref = align_profiles(pa, pb, po);
-      po.backend = Backend::kVector;
+      const ProfileAlignResult ref =
+          detail::align_profiles_reference(pa, pb, po);
       const ProfileAlignResult vec = align_profiles(pa, pb, po);
       EXPECT_EQ(ref.score, vec.score);
       EXPECT_EQ(ref.ops, vec.ops);

@@ -137,7 +137,8 @@ TEST(ProfileAlign, EmptySides) {
 }
 
 TEST(ProfileAlign, CheckpointedTracebackMatchesFullTraceExactly) {
-  // Forcing max_trace_cells = 1 pushes every DP onto the checkpointed
+  // On the scalar PSP DP (the one that honours max_trace_cells), forcing
+  // max_trace_cells = 1 pushes every DP onto the checkpointed
   // (row-checkpoint + block-recompute) traceback path; the result must be
   // bit-identical to the full-trace path, banded or not.
   const auto fam = workload::rose_sequences(
@@ -153,8 +154,10 @@ TEST(ProfileAlign, CheckpointedTracebackMatchesFullTraceExactly) {
       full.band = band;
       ProfileAlignOptions ckpt = full;
       ckpt.max_trace_cells = 1;
-      const ProfileAlignResult want = align_profiles(pa, pb, full);
-      const ProfileAlignResult got = align_profiles(pa, pb, ckpt);
+      const ProfileAlignResult want =
+          detail::align_profiles_reference(pa, pb, full);
+      const ProfileAlignResult got =
+          detail::align_profiles_reference(pa, pb, ckpt);
       EXPECT_EQ(want.score, got.score) << "pair " << t << " band " << band;
       ASSERT_EQ(want.ops.size(), got.ops.size())
           << "pair " << t << " band " << band;
