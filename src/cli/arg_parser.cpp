@@ -182,15 +182,14 @@ std::string ArgParser::usage() const {
   return os.str();
 }
 
-namespace {
-
-/// Splits "<number><suffix>" at the end of the numeric part. Throws the
-/// caller-supplied UsageError builder on non-numeric or negative input.
-/// The number is parsed as a double so "1.5g" and "2.5s" work; whether a
-/// fraction is acceptable without a suffix is the caller's call.
-template <typename Bad>
-std::pair<double, std::string> split_number_suffix(const std::string& text,
-                                                  const Bad& bad) {
+double parse_duration_seconds(const std::string& text,
+                              std::string_view flag) {
+  const auto bad = [&] {
+    return UsageError(std::string(flag) +
+                      ": expected <number>[ms|s|m|h] (bare numbers are "
+                      "seconds), got '" +
+                      text + "'");
+  };
   // stod accepts leading whitespace, '+', '-', "inf", "nan" — the CLI
   // wants exactly [digits][.digits][suffix], so gate on the first byte.
   if (text.empty() || text[0] < '0' || text[0] > '9') throw bad();
@@ -202,46 +201,7 @@ std::pair<double, std::string> split_number_suffix(const std::string& text,
     throw bad();
   }
   if (!(value >= 0.0) || value > 1e18) throw bad();
-  return {value, text.substr(pos)};
-}
-
-}  // namespace
-
-std::uint64_t parse_byte_size(const std::string& text,
-                              std::string_view flag) {
-  const auto bad = [&] {
-    return UsageError(std::string(flag) +
-                      ": expected <number>[k|m|g] (fractions need a unit, "
-                      "e.g. 1.5g), got '" +
-                      text + "'");
-  };
-  const auto [value, suffix] = split_number_suffix(text, bad);
-  std::uint64_t scale = 1;
-  if (suffix == "k" || suffix == "K") {
-    scale = std::uint64_t{1} << 10;
-  } else if (suffix == "m" || suffix == "M") {
-    scale = std::uint64_t{1} << 20;
-  } else if (suffix == "g" || suffix == "G") {
-    scale = std::uint64_t{1} << 30;
-  } else if (!suffix.empty()) {
-    throw bad();
-  } else if (value != static_cast<double>(static_cast<std::uint64_t>(value))) {
-    throw bad();  // "1.5" bytes: fractions below a whole unit are nonsense
-  }
-  const double bytes = value * static_cast<double>(scale);
-  if (bytes > 9.2e18) throw bad();  // would overflow uint64
-  return static_cast<std::uint64_t>(bytes);
-}
-
-double parse_duration_seconds(const std::string& text,
-                              std::string_view flag) {
-  const auto bad = [&] {
-    return UsageError(std::string(flag) +
-                      ": expected <number>[ms|s|m|h] (bare numbers are "
-                      "seconds), got '" +
-                      text + "'");
-  };
-  const auto [value, suffix] = split_number_suffix(text, bad);
+  const std::string suffix = text.substr(pos);
   double scale = 1.0;
   if (suffix == "ms") {
     scale = 1e-3;

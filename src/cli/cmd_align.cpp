@@ -1,4 +1,3 @@
-#include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -48,19 +47,11 @@ ArgParser make_parser() {
   p.flag("resume",
          "with --checkpoint-dir: load completed stages back instead of\n"
          "recomputing them. Bit-identical to a fresh run for any --threads");
-  p.flag("cache",
-         "serve repeated per-bucket aligner work (distance matrices,\n"
-         "guide trees) from the process-wide artifact cache (muscle only;\n"
-         "never changes output)");
   p.option("deadline", "dur", "0",
            "wall-clock budget, e.g. 30, 2.5s, 250ms, 1.5m (bare numbers are\n"
            "seconds; 0 = none). The pipeline stops\n"
            "cooperatively at the next stage/chunk boundary, leaves a valid\n"
            "checkpoint, and exits 4; --resume completes bit-identically");
-  p.option("max-memory", "size", "0",
-           "peak-memory bound, e.g. 512m or 1.5g (0 = none). Never changes\n"
-           "the output; profile merges always use checkpointed traceback,\n"
-           "so no stage currently shrinks its working set for it");
   p.flag("stats", "print the per-stage pipeline report to stderr");
   p.flag("sp", "print the alignment's SP score to stderr");
   return p;
@@ -86,17 +77,14 @@ int run_align(std::span<const std::string> args, std::ostream& out,
     cfg.threads = threads == 0 ? util::default_threads() : threads;
     cfg.samples_per_proc = static_cast<int>(p.get_int("samples", 0, 1 << 20));
     // "muscle" (the default) is left null so the pipeline constructs it,
-    // which routes phase stats and the artifact cache through it; the
-    // options are identical to make_aligner("muscle", threads).
+    // which routes phase stats through it; the options are identical to
+    // make_aligner("muscle", threads).
     if (p.get("aligner") != "muscle")
       cfg.local_aligner = make_aligner(p.get("aligner"), cfg.threads);
     cfg.checkpoint.dir = p.get("checkpoint-dir");
     cfg.checkpoint.resume = p.get_flag("resume");
     if (cfg.checkpoint.resume && cfg.checkpoint.dir.empty())
       throw UsageError("--resume requires --checkpoint-dir");
-    cfg.use_artifact_cache = p.get_flag("cache");
-    if (cfg.use_artifact_cache && p.get("aligner") != "muscle")
-      throw UsageError("--cache applies to the default muscle aligner only");
     cfg.ancestor_refinement = !p.get_flag("no-ancestor");
     cfg.polish_divergent = p.get_flag("polish");
     const std::string& mode = p.get("rank-mode");
@@ -107,10 +95,8 @@ int run_align(std::span<const std::string> args, std::ostream& out,
     } else {
       throw UsageError("--rank-mode must be 'globalized' or 'local'");
     }
-    cfg.budget.deadline_seconds =
+    cfg.deadline_seconds =
         parse_duration_seconds(p.get("deadline"), "--deadline");
-    cfg.budget.max_memory_bytes =
-        parse_byte_size(p.get("max-memory"), "--max-memory");
 
     const std::vector<bio::Sequence> seqs = bio::read_fasta_file(p.get("in"));
     core::PipelineStats stats;

@@ -85,23 +85,12 @@ struct SampleAlignDConfig {
   /// identity hashes cover everything output-relevant; threads are not).
   stage::CheckpointOptions checkpoint{};
 
-  /// Serve repeated per-bucket aligner work (distance matrices, guide
-  /// trees) from the process-wide util::ArtifactCache. Opt-in; never
-  /// changes output. Only applies to the default aligner this config
-  /// constructs — a caller-provided local_aligner manages its own caching.
-  bool use_artifact_cache = false;
-
-  /// Resource limits of a run (`--deadline` / `--max-memory`; 0 = none).
-  /// The deadline is polled cooperatively at stage, chunk and merge
-  /// boundaries: when it passes, the run stops at the next boundary with
-  /// util::DeadlineExceeded, leaving a valid checkpoint `--resume` finishes
-  /// bit-identically. The memory bound is parsed and carried with the run
-  /// (serve journals it per job), but no stage consults it: the default
-  /// aligner's profile merges always take the checkpointed-traceback
-  /// kernel, so there is no full-trace path left to degrade from. Neither
-  /// limit ever changes the alignment, so neither is part of the pipeline
-  /// hash.
-  util::BudgetLimits budget{};
+  /// Wall-clock budget of a run in seconds (`--deadline`; 0 = none). It is
+  /// polled cooperatively at stage, chunk and merge boundaries: when it
+  /// passes, the run stops at the next boundary with util::DeadlineExceeded,
+  /// leaving a valid checkpoint `--resume` finishes bit-identically. It
+  /// never changes the alignment, so it is not part of the pipeline hash.
+  double deadline_seconds = 0.0;
 
   /// Optional cooperative cancellation token, polled at the same
   /// boundaries as the deadline (a cancel raises util::CancelledError with

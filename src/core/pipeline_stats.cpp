@@ -98,14 +98,13 @@ std::string PipelineStats::summary() const {
        << " stages resumed from checkpoint\n";
   }
   if (!aligner_phases.empty()) {
-    util::Table ph({"aligner phase", "wall s", "runs", "cache hits"});
+    util::Table ph({"aligner phase", "wall s", "runs"});
     for (const auto& a : aligner_phases) {
       ph.add_row({a.name, util::fmt("%.4f", a.wall_seconds),
-                  std::to_string(a.runs), std::to_string(a.cache_hits)});
+                  std::to_string(a.runs)});
     }
     os << ph.to_string();
   }
-  if (!cache_note.empty()) os << cache_note << '\n';
   for (const std::string& note : quarantine_notes)
     os << "checkpoint: " << note << '\n';
   constexpr int kLanes = align::engine::VecF::kLanes;

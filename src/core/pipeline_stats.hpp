@@ -82,8 +82,6 @@ struct PipelineStats {
   /// bucket plus the root's ancestor alignment); empty when a caller-provided
   /// SampleAlignDConfig::local_aligner ran instead.
   std::vector<msa::AlignerPhaseStats::Phase> aligner_phases;
-  /// One-line process-wide artifact-cache report ("" when caching is off).
-  std::string cache_note;
   /// Checkpoint-robustness notes: artifacts/manifests quarantined (renamed
   /// to `*.corrupt` and recomputed) or otherwise ignored during this run.
   /// Empty on a healthy run.

@@ -16,7 +16,6 @@
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
 #include "par/serialize.hpp"
-#include "util/artifact_cache.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -138,7 +137,6 @@ std::shared_ptr<const msa::MsaAlgorithm> local_aligner(
   if (config.local_aligner) return config.local_aligner;
   msa::MuscleOptions o;
   o.threads = config.threads;
-  o.use_artifact_cache = config.use_artifact_cache;
   o.phase_stats = phases;
   return std::make_shared<msa::MuscleAligner>(o);
 }
@@ -361,7 +359,7 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
 
   // Deadline clock starts here; the budget is visible process-wide so
   // parallel_for chunks and guide-tree merges poll it without plumbing.
-  util::Budget budget(config_.budget, config_.cancel);
+  util::Budget budget(config_.deadline_seconds, config_.cancel);
   util::ScopedBudget scoped_budget(&budget);
 
   stage::StageContext ctx(config_.checkpoint, pipeline_hash(seqs));
@@ -373,10 +371,6 @@ msa::Alignment SampleAlignD::align(std::span<const bio::Sequence> seqs,
     st.artifacts = runner.records();
     st.resumed_stages = runner.resumed_stages();
     st.aligner_phases = phases.snapshot();
-    if (config_.use_artifact_cache) {
-      const auto& cache = util::ArtifactCache::process_cache();
-      st.cache_note = util::cache_summary(cache.stats(), cache.capacity());
-    }
     st.quarantine_notes = ctx.quarantine_notes();
   };
 

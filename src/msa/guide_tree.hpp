@@ -36,9 +36,9 @@ class GuideTree {
   static GuideTree neighbor_joining(
       const util::SymmetricMatrix<double>& distances);
 
-  /// Reassembles a tree from its node array (the msa_serialize codec's
-  /// counterpart of node()/num_leaves()/root()). Throws std::invalid_argument
-  /// on inconsistent shape.
+  /// Reassembles a tree from its node array (the counterpart of
+  /// node()/num_leaves()/root(); tests build synthetic trees with it).
+  /// Throws std::invalid_argument on inconsistent shape.
   static GuideTree from_nodes(std::vector<TreeNode> nodes,
                               std::size_t num_leaves, int root);
 

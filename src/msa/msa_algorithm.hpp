@@ -31,7 +31,7 @@ class MsaAlgorithm {
 
   /// Folds everything that determines this aligner's output for a given
   /// input — algorithm, parameters, scoring matrix — into `h`. Checkpoint
-  /// and cache keys derive from it, so two configurations that could produce
+  /// keys derive from it, so two configurations that could produce
   /// different alignments must hash differently. Worker-thread counts never
   /// change output and must never be folded in. The default covers aligners
   /// whose name() already encodes their full configuration; aligners with

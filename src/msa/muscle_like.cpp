@@ -8,11 +8,8 @@
 #include "bio/content_hash.hpp"
 #include "kmer/kmer_rank.hpp"
 #include "msa/guide_tree.hpp"
-#include "msa/msa_serialize.hpp"
 #include "msa/progressive.hpp"
 #include "msa/refinement.hpp"
-#include "par/serialize.hpp"
-#include "util/artifact_cache.hpp"
 
 namespace salign::msa {
 
@@ -68,61 +65,6 @@ std::vector<std::size_t> identity_rows(std::size_t n) {
   return v;
 }
 
-/// Artifact-cache plumbing of one aligner run: phase keys derive from the
-/// run's base digest (aligner config + matrix + input set), so intermediate
-/// artifacts of runs over the same bucket are shared process-wide while runs
-/// that could differ in any output-relevant way never collide.
-struct PhaseCache {
-  bool enabled = false;
-  util::Digest128 base{};
-  util::ArtifactCache* cache = nullptr;
-
-  [[nodiscard]] util::Digest128 key(std::string_view tag) const {
-    util::StableHash h;
-    h.u64(base.hi);
-    h.u64(base.lo);
-    h.str(tag);
-    return h.digest128();
-  }
-
-  /// Serves `tag` from the cache (decoding with `read`) or computes, encodes
-  /// with `write` and stores. Cache hits decode the exact bytes a cold run
-  /// stored, so both paths yield bit-identical values.
-  ///
-  /// The cache is an optimization, never a correctness input, so every
-  /// cache failure degrades instead of propagating: a lookup failure (or a
-  /// blob that won't decode) is a miss and the phase recomputes; an insert
-  /// failure just means the value isn't shared. Only compute() errors
-  /// escape. The fault-matrix tests drive this via the cache.lookup /
-  /// cache.insert injection sites.
-  template <typename Compute, typename Write, typename Read>
-  auto get(AlignerPhaseStats* stats, const char* tag, Compute&& compute,
-           Write&& write, Read&& read) const -> decltype(compute()) {
-    ScopedPhase phase(stats, tag);
-    if (!enabled) return compute();
-    const util::Digest128 k = key(tag);
-    try {
-      if (const util::ArtifactCache::Blob blob = cache->get(k)) {
-        par::ByteReader r{std::span<const std::uint8_t>(*blob)};
-        auto value = read(r);
-        phase.hit();
-        return value;
-      }
-    } catch (const std::exception&) {
-      // fall through: recompute
-    }
-    auto value = compute();
-    par::ByteWriter w;
-    write(w, value);
-    try {
-      cache->put(k, w.take());
-    } catch (const std::exception&) {
-      // not cached this time; the computed value is still correct
-    }
-    return value;
-  }
-};
-
 }  // namespace
 
 MuscleAligner::MuscleAligner(MuscleOptions options,
@@ -158,35 +100,23 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
         throw std::invalid_argument("MuscleAligner: duplicate id " + s.id());
   }
 
-  PhaseCache pc;
-  pc.enabled = options_.use_artifact_cache;
-  if (pc.enabled) {
-    util::StableHash h;
-    hash_config(h);
-    const util::Digest128 in = bio::sequence_set_hash(seqs);
-    h.u64(in.hi);
-    h.u64(in.lo);
-    pc.base = h.digest128();
-    pc.cache = &util::ArtifactCache::process_cache();
-  }
   AlignerPhaseStats* ps = options_.phase_stats;
 
   // Stage 1: k-mer (or engine score) distances -> UPGMA -> progressive.
-  const util::SymmetricMatrix<double> kd = pc.get(
-      ps, "stage1 distance matrix",
-      [&] {
-        if (options_.stage1_distance == MuscleOptions::GuideTree::kScore) {
-          align::ScoreDistanceOptions sdo;
-          sdo.threads = options_.threads;
-          return align::score_distance_matrix(seqs, *matrix_,
-                                              matrix_->default_gaps(), sdo);
-        }
-        return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
-      },
-      write_distance_matrix, read_distance_matrix);
-  GuideTree tree =
-      pc.get(ps, "stage1 guide tree", [&] { return GuideTree::upgma(kd); },
-             write_guide_tree, read_guide_tree);
+  const util::SymmetricMatrix<double> kd = [&] {
+    ScopedPhase phase(ps, "stage1 distance matrix");
+    if (options_.stage1_distance == MuscleOptions::GuideTree::kScore) {
+      align::ScoreDistanceOptions sdo;
+      sdo.threads = options_.threads;
+      return align::score_distance_matrix(seqs, *matrix_,
+                                          matrix_->default_gaps(), sdo);
+    }
+    return kmer::distance_matrix(seqs, options_.kmer, options_.threads);
+  }();
+  GuideTree tree = [&] {
+    ScopedPhase phase(ps, "stage1 guide tree");
+    return GuideTree::upgma(kd);
+  }();
   ProgressiveOptions po;
   po.gaps = matrix_->default_gaps();
   po.weights = tree.leaf_weights();
@@ -200,13 +130,14 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   // re-aligned.
   if (options_.reestimate_tree) {
     aln = reorder_to_input(aln, seqs);
-    const util::SymmetricMatrix<double> kim = pc.get(
-        ps, "stage2 distance matrix",
-        [&] { return induced_kimura_distances(aln, options_.threads); },
-        write_distance_matrix, read_distance_matrix);
-    tree =
-        pc.get(ps, "stage2 guide tree", [&] { return GuideTree::upgma(kim); },
-               write_guide_tree, read_guide_tree);
+    const util::SymmetricMatrix<double> kim = [&] {
+      ScopedPhase phase(ps, "stage2 distance matrix");
+      return induced_kimura_distances(aln, options_.threads);
+    }();
+    {
+      ScopedPhase phase(ps, "stage2 guide tree");
+      tree = GuideTree::upgma(kim);
+    }
     po.weights = tree.leaf_weights();
     {
       ScopedPhase phase(ps, "stage2 progressive");

@@ -36,15 +36,8 @@ struct MuscleOptions {
   /// induced-Kimura distance matrix, and both progressive merge schedules.
   /// Any value produces bit-identical alignments.
   unsigned threads = 1;
-  /// Serve/store per-phase artifacts (distance matrices, guide trees, both
-  /// progressive alignments) through util::ArtifactCache::process_cache(),
-  /// keyed by the content hash of (options, matrix, input sequences). Off by
-  /// default: repeated-alignment workloads opt in (`salign align --cache`).
-  /// Hits decode through the same codecs a cold run's artifacts were encoded
-  /// with, so cached and fresh runs are bit-identical.
-  bool use_artifact_cache = false;
-  /// Optional per-phase wall-time / cache-hit recorder (not owned; must
-  /// outlive the aligner). Never affects output.
+  /// Optional per-phase wall-time recorder (not owned; must outlive the
+  /// aligner). Never affects output.
   AlignerPhaseStats* phase_stats = nullptr;
 };
 
@@ -72,9 +65,8 @@ class MuscleAligner final : public MsaAlgorithm {
   [[nodiscard]] std::string name() const override;
 
   /// Full output-determining identity: algorithm tag, stage-1 mode, k-mer
-  /// params, stage-2/3 switches and the scoring matrix. threads,
-  /// use_artifact_cache and phase_stats are excluded — they never change
-  /// output.
+  /// params, stage-2/3 switches and the scoring matrix. threads and
+  /// phase_stats are excluded — they never change output.
   void hash_config(util::StableHash& h) const override;
 
   [[nodiscard]] const MuscleOptions& options() const { return options_; }

@@ -4,14 +4,12 @@
 
 namespace salign::msa {
 
-void AlignerPhaseStats::record(std::string_view name, double wall_seconds,
-                               bool cache_hit) {
+void AlignerPhaseStats::record(std::string_view name, double wall_seconds) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (Phase& p : phases_) {
     if (p.name == name) {
       p.wall_seconds += wall_seconds;
       ++p.runs;
-      if (cache_hit) ++p.cache_hits;
       return;
     }
   }
@@ -19,7 +17,6 @@ void AlignerPhaseStats::record(std::string_view name, double wall_seconds,
   p.name = std::string(name);
   p.wall_seconds = wall_seconds;
   p.runs = 1;
-  p.cache_hits = cache_hit ? 1 : 0;
   phases_.push_back(std::move(p));
 }
 

@@ -13,8 +13,7 @@ namespace salign::msa {
 /// Thread-safe recorder of a sequential aligner's internal phases (distance
 /// matrix, guide tree, progressive pass, refinement). Each Sample-Align-D run
 /// hands a fresh recorder to its default aligner, so a `--stats` run reports
-/// where the sequential time went and which phases were served from the
-/// process-wide artifact cache instead of recomputed.
+/// where the sequential time went.
 ///
 /// Phases are aggregated by name across calls and reported in first-seen
 /// order. In a pipeline run one row folds every aligner call of the run:
@@ -25,12 +24,11 @@ class AlignerPhaseStats {
  public:
   struct Phase {
     std::string name;
-    double wall_seconds = 0.0;  ///< summed across runs (cache hits included)
+    double wall_seconds = 0.0;  ///< summed across runs
     std::uint64_t runs = 0;
-    std::uint64_t cache_hits = 0;
   };
 
-  void record(std::string_view name, double wall_seconds, bool cache_hit);
+  void record(std::string_view name, double wall_seconds);
   [[nodiscard]] std::vector<Phase> snapshot() const;
 
  private:
@@ -38,8 +36,8 @@ class AlignerPhaseStats {
   std::vector<Phase> phases_;
 };
 
-/// RAII phase timer: records on destruction; call hit() when the phase's
-/// value came from the artifact cache. A null recorder makes it a no-op.
+/// RAII phase timer: records on destruction. A null recorder makes it a
+/// no-op.
 class ScopedPhase {
  public:
   ScopedPhase(AlignerPhaseStats* stats, std::string_view name)
@@ -47,16 +45,13 @@ class ScopedPhase {
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
   ~ScopedPhase() {
-    if (stats_ != nullptr) stats_->record(name_, watch_.seconds(), hit_);
+    if (stats_ != nullptr) stats_->record(name_, watch_.seconds());
   }
-
-  void hit() { hit_ = true; }
 
  private:
   AlignerPhaseStats* stats_;
   std::string name_;
   util::Stopwatch watch_;
-  bool hit_ = false;
 };
 
 }  // namespace salign::msa

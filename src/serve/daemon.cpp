@@ -18,6 +18,7 @@
 #include "msa/alignment.hpp"
 #include "msa/clustal_format.hpp"
 #include "util/io.hpp"
+#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
 namespace salign::serve {
@@ -224,7 +225,7 @@ Json Daemon::dispatch(const Json& request) {
   if (v != static_cast<double>(kWireVersion))
     return error_response("bad_request",
                           "unsupported protocol version " +
-                              std::to_string(static_cast<int>(v)) +
+                              util::fmt("%g", v) +
                               " (this daemon speaks v" +
                               std::to_string(kWireVersion) + ")");
   const std::string op = request.get_string("op");
@@ -504,13 +505,9 @@ Daemon::Outcome Daemon::run_job(
     // run — the recovery contract inherited from core/stage.
     cfg.checkpoint.dir = journal_->checkpoint_dir(rec.id);
     cfg.checkpoint.resume = true;
-    cfg.use_artifact_cache =
-        options_.use_artifact_cache && spec.aligner == "muscle";
-    cfg.budget.deadline_seconds = spec.deadline_seconds > 0.0
-                                      ? spec.deadline_seconds
-                                      : options_.default_deadline_seconds;
-    cfg.budget.max_memory_bytes =
-        spec.max_memory > 0 ? spec.max_memory : options_.default_max_memory;
+    cfg.deadline_seconds = spec.deadline_seconds > 0.0
+                               ? spec.deadline_seconds
+                               : options_.default_deadline_seconds;
     cfg.cancel = tok;
     const msa::Alignment aln = core::SampleAlignD(cfg).align(seqs);
     std::ostringstream os;

@@ -1,6 +1,8 @@
 #include "serve/journal.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <span>
@@ -12,6 +14,28 @@
 namespace salign::serve {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// Largest integer a JSON number (an IEEE double) carries exactly.
+constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
+
+/// Reads integer field `key` of `j` (absent = `fallback`), range-checking
+/// the number while it is still a double: casting an out-of-range double to
+/// an integer is undefined behaviour, and these numbers arrive over the
+/// socket or from journal files on disk. `what` prefixes the WireError.
+template <typename Int>
+Int get_int(const Json& j, std::string_view key, double fallback, double lo,
+            double hi, std::string_view what) {
+  const double v = j.get_number(key, fallback);
+  if (!(v >= lo && v <= hi))
+    throw WireError(std::string(what) + ": '" + std::string(key) +
+                    "' out of range [" + std::to_string(std::int64_t(lo)) +
+                    "," + std::to_string(std::int64_t(hi)) + "]");
+  return static_cast<Int>(v);
+}
+
+}  // namespace
 
 const char* to_string(JobState s) {
   switch (s) {
@@ -42,7 +66,6 @@ Json JobSpec::to_json() const {
   o.emplace("procs", procs);
   o.emplace("threads", threads);
   o.emplace("deadline", deadline_seconds);
-  o.emplace("max_memory", max_memory);
   return Json(std::move(o));
 }
 
@@ -52,15 +75,10 @@ JobSpec JobSpec::from_json(const Json& j) {
   s.output = j.get_string("out");
   s.format = j.get_string("format", "fasta");
   s.aligner = j.get_string("aligner", "muscle");
-  s.procs = static_cast<int>(j.get_number("procs", 4));
-  s.threads = static_cast<int>(j.get_number("threads", 1));
+  s.procs = get_int<int>(j, "procs", 4, 1, 1024, "job spec");
+  s.threads = get_int<int>(j, "threads", 1, 0, 1024, "job spec");
   s.deadline_seconds = j.get_number("deadline", 0.0);
-  s.max_memory = static_cast<std::uint64_t>(j.get_number("max_memory", 0.0));
   if (s.input.empty()) throw WireError("job spec: 'in' is required");
-  if (s.procs < 1 || s.procs > 1024)
-    throw WireError("job spec: 'procs' out of range [1,1024]");
-  if (s.threads < 0 || s.threads > 1024)
-    throw WireError("job spec: 'threads' out of range [0,1024]");
   if (s.deadline_seconds < 0.0)
     throw WireError("job spec: 'deadline' must be >= 0");
   if (s.format != "fasta" && s.format != "clustal")
@@ -86,17 +104,18 @@ Json JobRecord::to_json() const {
 JobRecord JobRecord::from_json(const Json& j) {
   JobRecord r;
   r.id = j.get_string("id");
-  r.seq = static_cast<std::uint64_t>(j.get_number("seq", 0.0));
+  r.seq = get_int<std::uint64_t>(j, "seq", 0, 0, kMaxExactInt, "job record");
   r.state = job_state_from_string(j.get_string("state"));
   const Json* spec = j.find("spec");
   if (spec == nullptr) throw WireError("job record: 'spec' is required");
   r.spec = JobSpec::from_json(*spec);
-  r.attempts = static_cast<int>(j.get_number("attempts", 0.0));
-  r.exit_code = static_cast<int>(j.get_number("exit_code", 0.0));
+  r.attempts = get_int<int>(j, "attempts", 0, 0, INT_MAX, "job record");
+  r.exit_code = get_int<int>(j, "exit_code", 0, 0, 255, "job record");
   r.error = j.get_string("error");
-  r.submitted_ms =
-      static_cast<std::uint64_t>(j.get_number("submitted_ms", 0.0));
-  r.updated_ms = static_cast<std::uint64_t>(j.get_number("updated_ms", 0.0));
+  r.submitted_ms = get_int<std::uint64_t>(j, "submitted_ms", 0, 0,
+                                          kMaxExactInt, "job record");
+  r.updated_ms = get_int<std::uint64_t>(j, "updated_ms", 0, 0, kMaxExactInt,
+                                        "job record");
   if (r.id.empty()) throw WireError("job record: 'id' is required");
   return r;
 }

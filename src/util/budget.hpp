@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -41,32 +40,26 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// User-facing resource limits (from --deadline / --max-memory or the
-/// config). Zero means "no limit" for both.
-struct BudgetLimits {
-  double deadline_seconds = 0.0;
-  std::uint64_t max_memory_bytes = 0;
-};
-
-/// A wall-clock deadline plus cancellation token, polled cooperatively.
-/// The deadline clock starts at construction. check()/poll() are cheap
-/// enough for per-chunk polling: one relaxed atomic load when no limit is
-/// set, one steady_clock read otherwise.
+/// A wall-clock deadline (from --deadline or the config; 0 = none) plus
+/// cancellation token, polled cooperatively. The deadline clock starts at
+/// construction. check()/poll() are cheap enough for per-chunk polling: one
+/// relaxed atomic load when no deadline is set, one steady_clock read
+/// otherwise.
 class Budget {
  public:
   Budget() = default;
-  explicit Budget(BudgetLimits limits,
+  explicit Budget(double deadline_seconds,
                   std::shared_ptr<CancelToken> cancel = nullptr)
-      : limits_(limits),
+      : deadline_seconds_(deadline_seconds),
         cancel_(std::move(cancel)),
         start_(std::chrono::steady_clock::now()),
-        has_deadline_(limits.deadline_seconds > 0.0) {}
+        has_deadline_(deadline_seconds > 0.0) {}
 
   /// True when the run must stop at the next boundary (deadline passed or
   /// cancellation requested). Never throws.
   [[nodiscard]] bool should_stop() const {
     if (cancel_ && cancel_->requested()) return true;
-    return has_deadline_ && elapsed_seconds() >= limits_.deadline_seconds;
+    return has_deadline_ && elapsed_seconds() >= deadline_seconds_;
   }
 
   /// Throws DeadlineExceeded / CancelledError when the run must stop.
@@ -74,9 +67,9 @@ class Budget {
   void check(std::string_view where) const {
     if (cancel_ && cancel_->requested())
       throw CancelledError("cancelled at " + std::string(where));
-    if (has_deadline_ && elapsed_seconds() >= limits_.deadline_seconds)
+    if (has_deadline_ && elapsed_seconds() >= deadline_seconds_)
       throw DeadlineExceeded("deadline of " +
-                             std::to_string(limits_.deadline_seconds) +
+                             std::to_string(deadline_seconds_) +
                              "s exceeded at " + std::string(where));
   }
 
@@ -86,10 +79,8 @@ class Budget {
         .count();
   }
 
-  [[nodiscard]] const BudgetLimits& limits() const { return limits_; }
-
  private:
-  BudgetLimits limits_;
+  double deadline_seconds_ = 0.0;
   std::shared_ptr<CancelToken> cancel_;
   std::chrono::steady_clock::time_point start_{};
   bool has_deadline_ = false;

@@ -14,7 +14,7 @@
 namespace salign::util {
 
 /// Thrown at an armed injection site. Derives from IoError so the
-/// checkpoint/cache retry policy treats injected faults exactly like real
+/// checkpoint retry policy treats injected faults exactly like real
 /// ones: transient injections are ridden out by retry_io, non-transient
 /// (or persistent-window) injections kill the operation like a dead disk.
 class InjectedFault : public IoError {
@@ -41,9 +41,9 @@ class InjectedFault : public IoError {
 /// continues bit-identically.
 ///
 /// Sites wired in: checkpoint.write, checkpoint.read, manifest.store,
-/// manifest.load, cache.insert, cache.lookup, fasta.read, fasta.write,
-/// the durable-IO defaults file.write and file.read (util::io, the CLI
-/// --out path), and the serve daemon's serve.accept, serve.read,
+/// manifest.load, fasta.read, fasta.write, the durable-IO defaults
+/// file.write and file.read (util::io, the CLI --out path), and the
+/// serve daemon's serve.accept, serve.read,
 /// serve.write, serve.journal.write, serve.journal.read,
 /// serve.journal.probe (boot-time writability check), serve.result.write
 /// (tests/serve_test.cpp drills each at 1 and 3 worker threads).
@@ -68,7 +68,7 @@ class InjectedFault : public IoError {
 ///   ...!          '!' suffix: non-transient (never retried)
 ///   site:~p       fail each hit with probability p (seeded, per-site)
 ///
-/// e.g. SALIGN_FAULTS="checkpoint.write:2:*!,cache.lookup:~0.25"
+/// e.g. SALIGN_FAULTS="checkpoint.write:2:*!,checkpoint.read:~0.25"
 class FaultInjector {
  public:
   static constexpr std::uint64_t kAllHits = ~std::uint64_t{0};

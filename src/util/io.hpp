@@ -14,7 +14,7 @@ namespace salign::util {
 /// An I/O failure. `transient()` failures (interrupted writes, injected
 /// faults configured as transient) are worth retrying; permanent ones
 /// (missing file, permission denied) are not — retry_io() below implements
-/// exactly that policy, so every disk touch in the checkpoint/cache layer
+/// exactly that policy, so every disk touch in the checkpoint layer
 /// distinguishes the two by construction.
 class IoError : public std::runtime_error {
  public:

@@ -9,8 +9,8 @@
 
 namespace salign::util {
 
-/// 128-bit content digest. Comparable and hashable so it can key caches and
-/// checkpoint manifests directly.
+/// 128-bit content digest. Comparable so it can key checkpoint manifests
+/// directly.
 struct Digest128 {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -24,29 +24,22 @@ struct Digest128 {
   static bool parse(std::string_view text, Digest128& out);
 };
 
-/// Hash functor for unordered containers keyed by Digest128.
-struct Digest128Hash {
-  std::size_t operator()(const Digest128& d) const noexcept {
-    return static_cast<std::size_t>(d.hi ^ (d.lo * 0x9E3779B97F4A7C15ULL));
-  }
-};
-
 /// Streaming, seedable, non-cryptographic 128-bit content hash.
 ///
-/// Properties the stage/cache layers rely on:
+/// Properties the stage layer relies on:
 ///  - *stable*: the digest depends only on the byte stream (bytes are
 ///    consumed in order and multi-byte words are assembled little-endian),
 ///    never on platform, build, or chunking — update(a+b) == update(a),
 ///    update(b). Digests are pinned by unit tests so an accidental algorithm
-///    change (which would silently invalidate every on-disk checkpoint and
-///    cache key) fails loudly.
+///    change (which would silently invalidate every on-disk checkpoint)
+///    fails loudly.
 ///  - *typed helpers*: u8/u32/u64/f64/str write fixed-width little-endian
 ///    encodings (strings are length-prefixed), mirroring par::ByteWriter, so
 ///    hashing a value and hashing its serialization agree field by field.
 ///
 /// The construction is two 64-bit mixing lanes over 16-byte blocks with a
-/// murmur3-style cross-lane finalizer — quality is ample for cache keys and
-/// artifact integrity checks; it is NOT collision-resistant against an
+/// murmur3-style cross-lane finalizer — quality is ample for checkpoint keys
+/// and artifact integrity checks; it is NOT collision-resistant against an
 /// adversary.
 class StableHash {
  public:

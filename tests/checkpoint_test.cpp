@@ -9,7 +9,6 @@
 #include "core/sample_align_d.hpp"
 #include "core/stage/stage.hpp"
 #include "msa/muscle_like.hpp"
-#include "util/artifact_cache.hpp"
 #include "workload/rose.hpp"
 
 namespace salign::core {
@@ -188,58 +187,6 @@ TEST_F(CheckpointTest, PipelineHashIgnoresThreadsButNotConfig) {
 TEST(PipelineHash, DefaultConfigHashIsPinned) {
   const std::vector<Sequence> seqs = family(8, 30, 23);
   EXPECT_EQ(SampleAlignD().pipeline_hash(seqs).hex(), "7b20d13735b2e949456966d5463af138");
-}
-
-// Warm-cache differential: the second in-process run of the same input must
-// serve the sequential aligner's distance-matrix and guide-tree phases from
-// the process-wide artifact cache (visible as cache_hits in the per-phase
-// stats) and still produce a bit-identical alignment.
-TEST(ArtifactCacheRuns, WarmRunSkipsDistanceAndTreePhases) {
-  util::ArtifactCache::process_cache().clear();
-  util::ArtifactCache::process_cache().reset_stats();
-
-  const std::vector<Sequence> seqs = family(24, 40, 29);
-  SampleAlignDConfig cfg;
-  cfg.num_procs = 4;
-  cfg.use_artifact_cache = true;
-
-  PipelineStats cold_stats;
-  const Alignment cold = SampleAlignD(cfg).align(seqs, &cold_stats);
-  PipelineStats warm_stats;
-  const Alignment warm = SampleAlignD(cfg).align(seqs, &warm_stats);
-  expect_identical(warm, cold);
-
-  bool saw_cached_phase = false;
-  for (const auto& ph : warm_stats.aligner_phases) {
-    if (ph.name == "stage1 distance matrix" || ph.name == "stage1 guide tree" ||
-        ph.name == "stage2 distance matrix" || ph.name == "stage2 guide tree") {
-      EXPECT_EQ(ph.cache_hits, ph.runs) << ph.name;
-      saw_cached_phase = true;
-    } else {
-      EXPECT_EQ(ph.cache_hits, 0u) << ph.name;
-    }
-  }
-  EXPECT_TRUE(saw_cached_phase);
-  for (const auto& ph : cold_stats.aligner_phases)
-    EXPECT_EQ(ph.cache_hits, 0u) << ph.name;  // cold run computed everything
-
-  EXPECT_FALSE(warm_stats.cache_note.empty());
-  EXPECT_GT(util::ArtifactCache::process_cache().stats().hits, 0u);
-  util::ArtifactCache::process_cache().clear();
-}
-
-// Default-off: without the opt-in, nothing touches the process cache.
-TEST(ArtifactCacheRuns, CacheIsOptIn) {
-  util::ArtifactCache::process_cache().clear();
-  util::ArtifactCache::process_cache().reset_stats();
-  const std::vector<Sequence> seqs = family(12, 30, 31);
-  SampleAlignDConfig cfg;
-  cfg.num_procs = 2;
-  PipelineStats stats;
-  (void)SampleAlignD(cfg).align(seqs, &stats);
-  const auto s = util::ArtifactCache::process_cache().stats();
-  EXPECT_EQ(s.hits + s.misses + s.insertions, 0u);
-  EXPECT_TRUE(stats.cache_note.empty());
 }
 
 }  // namespace

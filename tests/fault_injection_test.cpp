@@ -10,7 +10,6 @@
 
 #include "bio/fasta.hpp"
 #include "cli/commands.hpp"
-#include "util/artifact_cache.hpp"
 #include "util/budget.hpp"
 #include "util/fault_injection.hpp"
 #include "util/io.hpp"
@@ -20,7 +19,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using util::Budget;
-using util::BudgetLimits;
 using util::CancelToken;
 using util::FaultInjector;
 using util::InjectedFault;
@@ -266,9 +264,7 @@ TEST(BudgetTest, NoLimitsNeverStops) {
 }
 
 TEST(BudgetTest, PassedDeadlineThrowsWithLocation) {
-  BudgetLimits limits;
-  limits.deadline_seconds = 1e-9;
-  const Budget b(limits);
+  const Budget b(1e-9);
   while (!b.should_stop()) {
   }
   try {
@@ -281,7 +277,7 @@ TEST(BudgetTest, PassedDeadlineThrowsWithLocation) {
 
 TEST(BudgetTest, CancelTokenStopsAndNames) {
   auto token = std::make_shared<CancelToken>();
-  const Budget b(BudgetLimits{}, token);
+  const Budget b(0.0, token);
   EXPECT_FALSE(b.should_stop());
   token->request();
   EXPECT_TRUE(b.should_stop());
@@ -292,9 +288,7 @@ TEST(BudgetTest, ScopedBudgetInstallsAndRestores) {
   EXPECT_EQ(util::current_budget(), nullptr);
   EXPECT_NO_THROW(util::poll_budget("idle"));
   {
-    BudgetLimits limits;
-    limits.deadline_seconds = 1e-9;
-    const Budget b(limits);
+    const Budget b(1e-9);
     const util::ScopedBudget scoped(&b);
     EXPECT_EQ(util::current_budget(), &b);
     while (!b.should_stop()) {
@@ -307,7 +301,7 @@ TEST(BudgetTest, ScopedBudgetInstallsAndRestores) {
 // ---- fault matrix through the CLI -------------------------------------------
 
 /// Runs `salign <args...>` in-process; the whole pipeline (checkpointing,
-/// cache, budget) is exercised exactly as the binary would.
+/// budget) is exercised exactly as the binary would.
 struct CliResult {
   int status = 0;
   std::string out;
@@ -350,7 +344,7 @@ class FaultMatrixTest : public ::testing::Test {
   /// A clean pipeline run (no checkpointing) — the byte-identity reference.
   [[nodiscard]] std::string clean_output(const std::string& threads) const {
     const CliResult r = run_cli({"align", "--in", input_, "--procs", "4",
-                                 "--threads", threads, "--cache"});
+                                 "--threads", threads});
     EXPECT_EQ(r.status, 0) << r.err;
     return r.out;
   }
@@ -361,8 +355,8 @@ class FaultMatrixTest : public ::testing::Test {
 
 TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
   // Open-ended hard faults at every hardened site. Write-side faults kill
-  // the run (exit 1); read-side and cache faults are recovered in-flight
-  // (quarantine + recompute, cache miss). Either way the checkpoint left
+  // the run (exit 1); read-side faults are recovered in-flight
+  // (quarantine + recompute). Either way the checkpoint left
   // behind must be valid and a clean resume must reproduce the alignment
   // byte for byte — at one worker thread and several.
   const struct {
@@ -371,7 +365,6 @@ TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
     bool run_survives;     // does the faulted run itself still succeed?
   } kMatrix[] = {
       {"checkpoint.write", false, false}, {"manifest.store", false, false},
-      {"cache.insert", false, true},      {"cache.lookup", false, true},
       {"checkpoint.read", true, true},    {"manifest.load", true, true},
   };
   for (const char* threads : {"1", "3"}) {
@@ -381,11 +374,8 @@ TEST_F(FaultMatrixTest, EverySiteRecoversToByteIdenticalOutput) {
       const std::string ckpt = path(std::string("ckpt_") + entry.site +
                                     "_t" + threads);
       const std::vector<std::string> base_args{
-          "align",   "--in",    input_,             "--procs", "4",
-          "--threads", threads, "--cache", "--checkpoint-dir", ckpt};
-      // The process-wide cache would serve hits from earlier runs in this
-      // test binary, starving cache.insert of misses: start cold.
-      util::ArtifactCache::process_cache().clear();
+          "align",     "--in",  input_,           "--procs", "4",
+          "--threads", threads, "--checkpoint-dir", ckpt};
       auto& fi = FaultInjector::instance();
       fi.disarm();
       if (entry.fault_on_resume) {
@@ -464,10 +454,10 @@ TEST_F(FaultMatrixTest, TransientFaultsEverywhereAreAbsorbedSilently) {
   auto& fi = FaultInjector::instance();
   fi.arm(
       "checkpoint.write:0,checkpoint.read:0,manifest.store:0,"
-      "manifest.load:0,cache.insert:0,cache.lookup:0,fasta.read:0");
+      "manifest.load:0,fasta.read:0");
   const CliResult r =
       run_cli({"align", "--in", input_, "--procs", "4", "--threads", "2",
-               "--cache", "--checkpoint-dir", path("ckpt_transient")});
+               "--checkpoint-dir", path("ckpt_transient")});
   fi.disarm();
   ASSERT_EQ(r.status, 0) << r.err;
   EXPECT_EQ(r.out, want);
@@ -493,15 +483,6 @@ TEST_F(FaultMatrixTest, DeadlineExitsDistinctlyAndResumesBitIdentically) {
                                      ckpt, "--resume"});
   ASSERT_EQ(resumed.status, 0) << resumed.err;
   EXPECT_EQ(resumed.out, want);
-}
-
-TEST_F(FaultMatrixTest, MaxMemoryDegradesWithoutChangingOutput) {
-  const std::string want = clean_output("2");
-  const CliResult tight =
-      run_cli({"align", "--in", input_, "--procs", "4", "--threads", "2",
-               "--max-memory", "16m"});
-  ASSERT_EQ(tight.status, 0) << tight.err;
-  EXPECT_EQ(tight.out, want) << "--max-memory changed the alignment";
 }
 
 // ---- quarantine & repair ----------------------------------------------------

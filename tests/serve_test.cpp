@@ -87,7 +87,6 @@ TEST(WireJsonTest, JobSpecJsonRoundTrip) {
   spec.procs = 8;
   spec.threads = 3;
   spec.deadline_seconds = 2.5;
-  spec.max_memory = 512ULL << 20;
   const JobSpec back = JobSpec::from_json(spec.to_json());
   EXPECT_EQ(back.to_json().dump(), spec.to_json().dump());
   // The required keys are enforced, not defaulted away.
@@ -112,6 +111,23 @@ TEST(WireJsonTest, JobRecordJsonRoundTrip) {
   EXPECT_THROW((void)JobRecord::from_json(Json::parse("{}")), WireError);
   EXPECT_THROW((void)JobRecord::from_json(Json::parse(R"({"id":7})")),
                WireError);
+}
+
+TEST(WireJsonTest, JobRecordRejectsOutOfRangeIntegers) {
+  // Journal files are outside input too: a number beyond its field's range
+  // must be rejected while it is a double, since casting it first is
+  // undefined behaviour (the ubsan lane traps it). The socket side is
+  // ServeTest.OutOfRangeNumbersAreBadRequests.
+  const std::string spec = R"("spec":{"in":"/a.fa","out":"/b.afa"})";
+  for (const char* field :
+       {"seq", "attempts", "exit_code", "submitted_ms", "updated_ms"}) {
+    for (const char* value : {"1e300", "-1e300", "-1"}) {
+      SCOPED_TRACE(std::string(field) + "=" + value);
+      const Json rec = Json::parse(R"({"id":"j000001","state":"done",)" +
+                                   spec + ",\"" + field + "\":" + value + "}");
+      EXPECT_THROW((void)JobRecord::from_json(rec), WireError);
+    }
+  }
 }
 
 TEST(WireJsonTest, TypedAccessorsNameTheKey) {
@@ -323,6 +339,40 @@ TEST_F(ServeTest, JournalReplayQuarantinesCorruptFiles) {
       fs::exists(fs::path(path("journal")) / "jobs" / "j000002.json.corrupt"));
 }
 
+TEST_F(ServeTest, OlderFormatJournalRecordReplaysToTheSameSpec) {
+  // A record as earlier daemons journaled it, with the retired max_memory
+  // field: replay must keep the job and ignore the field, so a journal
+  // written before the field was dropped still resumes after an upgrade.
+  const std::string older =
+      R"({"attempts":1,"error":"","exit_code":0,"id":"j000003","seq":3,)"
+      R"("spec":{"aligner":"muscle","deadline":2.5,"format":"clustal",)"
+      R"("in":"/a/in.fasta","max_memory":2147483648,"out":"/a/out.afa",)"
+      R"("procs":8,"threads":3},"state":"running",)"
+      R"("submitted_ms":1234567890123,"updated_ms":1234567890456,"v":1})";
+  Journal j(path("journal"));
+  std::ofstream(journal_file("j000003")) << older << "\n";
+
+  std::vector<std::string> quarantined;
+  const std::vector<JobRecord> back = j.replay(&quarantined);
+  EXPECT_TRUE(quarantined.empty());
+  ASSERT_EQ(back.size(), 1u);
+  const JobSpec& spec = back[0].spec;
+  EXPECT_EQ(spec.input, "/a/in.fasta");
+  EXPECT_EQ(spec.output, "/a/out.afa");
+  EXPECT_EQ(spec.format, "clustal");
+  EXPECT_EQ(spec.aligner, "muscle");
+  EXPECT_EQ(spec.procs, 8);
+  EXPECT_EQ(spec.threads, 3);
+  EXPECT_EQ(spec.deadline_seconds, 2.5);
+  EXPECT_EQ(back[0].state, JobState::kRunning);
+  EXPECT_EQ(back[0].attempts, 1);
+  // Re-journaling writes the same record without the retired field.
+  std::string expected = older;
+  const std::string retired = R"("max_memory":2147483648,)";
+  expected.erase(expected.find(retired), retired.size());
+  EXPECT_EQ(back[0].to_json().dump(), Json::parse(expected).dump());
+}
+
 TEST_F(ServeTest, JournalUnusableDirIsResourceError) {
   const std::string blocked = path("blocked");
   std::ofstream(blocked) << "a file, not a dir\n";
@@ -368,6 +418,24 @@ TEST_F(ServeTest, SubmitRunsJobByteIdenticalToDirectRun) {
             0)
       << err.str();
   EXPECT_EQ(slurp(path("served.afa")), slurp(path("direct.afa")));
+  EXPECT_NE(slurp(path("served.afa")), "");
+}
+
+TEST_F(ServeTest, SubmitWithRetiredMaxMemoryIsAcceptedAndIgnored) {
+  // Older clients still send max_memory; the daemon accepts the job, runs
+  // it like any other and journals no trace of the field.
+  const std::string in = path("in.fasta");
+  write_fasta(in, 6);
+  DaemonRunner runner(options());
+  ASSERT_TRUE(runner.ready()) << runner.error();
+  Json::Object o = submit_request(in, path("served.afa")).as_object();
+  o.insert_or_assign("max_memory", Json(std::uint64_t{2147483648ULL}));
+  const Json ack = request(path("d.sock"), Json(std::move(o)));
+  ASSERT_TRUE(ack.get_bool("ok")) << ack.dump();
+  const std::string id = ack.get_string("id");
+  const Json job = wait_terminal(path("d.sock"), id);
+  EXPECT_EQ(job.get_string("state"), "done") << job.dump();
+  EXPECT_EQ(slurp(journal_file(id)).find("max_memory"), std::string::npos);
   EXPECT_NE(slurp(path("served.afa")), "");
 }
 
@@ -441,6 +509,34 @@ TEST_F(ServeTest, BadRequestsAreAnsweredNotFatal) {
   EXPECT_TRUE(ping.get_bool("ok"));
   EXPECT_EQ(ping.get_string("state"), "serving");
   EXPECT_GE(runner.daemon().counters().bad_requests, 6u);
+}
+
+TEST_F(ServeTest, OutOfRangeNumbersAreBadRequests) {
+  // Numbers far outside int's range reach the daemon as doubles. It must
+  // answer bad_request without casting them (undefined behaviour) and keep
+  // serving.
+  DaemonRunner runner(options());
+  ASSERT_TRUE(runner.ready()) << runner.error();
+  const std::string sock = path("d.sock");
+  const std::string in = path("in.fasta");
+  write_fasta(in, 4);
+  for (const char* field : {"procs", "threads"}) {
+    for (const double value : {1e300, -1e300}) {
+      SCOPED_TRACE(std::string(field) + "=" + std::to_string(value));
+      Json::Object o = submit_request(in, path("o.afa")).as_object();
+      o.insert_or_assign(field, Json(value));
+      EXPECT_EQ(request(sock, Json(std::move(o))).get_string("code"),
+                "bad_request");
+    }
+  }
+  {
+    Json::Object o = op("ping").as_object();
+    o.insert_or_assign("v", Json(1e300));
+    EXPECT_EQ(request(sock, Json(std::move(o))).get_string("code"),
+              "bad_request");
+  }
+  EXPECT_TRUE(request(sock, op("ping")).get_bool("ok"));
+  EXPECT_EQ(runner.daemon().counters().accepted, 0u);
 }
 
 TEST_F(ServeTest, CancelQueuedJobIsTerminalWithExit4) {

@@ -10,9 +10,7 @@
 #include "core/stage/artifacts.hpp"
 #include "core/stage/stage.hpp"
 #include "msa/guide_tree.hpp"
-#include "msa/msa_serialize.hpp"
 #include "par/serialize.hpp"
-#include "util/artifact_cache.hpp"
 #include "util/stable_hash.hpp"
 
 namespace salign {
@@ -20,7 +18,6 @@ namespace {
 
 using core::stage::RankedPartition;
 using core::stage::RankedRef;
-using util::ArtifactCache;
 using util::Digest128;
 using util::StableHash;
 
@@ -31,7 +28,7 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
 // ---- util::StableHash ------------------------------------------------------
 
 // Pinned digests: an accidental algorithm change silently invalidates every
-// on-disk checkpoint and cache key, so it must fail loudly here instead.
+// on-disk checkpoint key, so it must fail loudly here instead.
 TEST(StableHash, PinnedDigests) {
   EXPECT_EQ(util::stable_hash128({}).hex(), "e85c1e5d33461bece737fb23aa98cdaf");
   const auto abc = bytes_of("abc");
@@ -87,55 +84,6 @@ TEST(Digest128, HexRoundTrip) {
   EXPECT_EQ(back, d);
   EXPECT_FALSE(Digest128::parse("too-short", back));
   EXPECT_FALSE(Digest128::parse("zz23456789abcdeffedcba9876543210", back));
-}
-
-// ---- util::ArtifactCache ---------------------------------------------------
-
-Digest128 key(std::uint64_t i) { return Digest128{i, ~i}; }
-
-TEST(ArtifactCache, HitMissAndStats) {
-  ArtifactCache cache(1024);
-  EXPECT_EQ(cache.get(key(1)), nullptr);
-  cache.put(key(1), bytes_of("hello"));
-  const ArtifactCache::Blob blob = cache.get(key(1));
-  ASSERT_NE(blob, nullptr);
-  EXPECT_EQ(*blob, bytes_of("hello"));
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.stored_bytes, 5u);
-  EXPECT_EQ(s.hit_bytes, 5u);
-}
-
-TEST(ArtifactCache, EvictsLeastRecentlyUsed) {
-  ArtifactCache cache(10);
-  cache.put(key(1), bytes_of("aaaa"));
-  cache.put(key(2), bytes_of("bbbb"));
-  ASSERT_NE(cache.get(key(1)), nullptr);  // 1 is now most recent
-  cache.put(key(3), bytes_of("cccc"));    // must evict 2
-  EXPECT_NE(cache.get(key(1)), nullptr);
-  EXPECT_EQ(cache.get(key(2)), nullptr);
-  EXPECT_NE(cache.get(key(3)), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ArtifactCache, OversizedBlobsAreNotCached) {
-  ArtifactCache cache(4);
-  cache.put(key(1), bytes_of("too large to fit"));
-  EXPECT_EQ(cache.get(key(1)), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(ArtifactCache, SetCapacityEvictsImmediately) {
-  ArtifactCache cache(64);
-  cache.put(key(1), bytes_of("aaaaaaaa"));
-  cache.put(key(2), bytes_of("bbbbbbbb"));
-  cache.set_capacity(8);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(cache.get(key(1)), nullptr);  // older entry went first
-  EXPECT_NE(cache.get(key(2)), nullptr);
 }
 
 // ---- stage artifact codecs -------------------------------------------------
@@ -205,49 +153,7 @@ TEST(StageArtifacts, PathsRoundTrip) {
       paths);
 }
 
-// ---- msa serialization (distance matrix, guide tree) -----------------------
-
-TEST(MsaSerialize, DistanceMatrixRoundTrip) {
-  util::SymmetricMatrix<double> m(3);
-  m(0, 0) = 0.0;
-  m(1, 0) = 0.5;
-  m(1, 1) = 0.0;
-  m(2, 0) = 1.25;
-  m(2, 1) = -0.75;
-  m(2, 2) = 0.0;
-  const auto back =
-      round_trip(m, msa::write_distance_matrix, msa::read_distance_matrix);
-  ASSERT_EQ(back.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j <= i; ++j) EXPECT_EQ(back(i, j), m(i, j));
-}
-
-TEST(MsaSerialize, GuideTreeRoundTrip) {
-  util::SymmetricMatrix<double> d(4);
-  d(1, 0) = 0.2;
-  d(2, 0) = 0.6;
-  d(2, 1) = 0.6;
-  d(3, 0) = 0.9;
-  d(3, 1) = 0.9;
-  d(3, 2) = 0.4;
-  const msa::GuideTree tree = msa::GuideTree::upgma(d);
-  const msa::GuideTree back =
-      round_trip(tree, msa::write_guide_tree, msa::read_guide_tree);
-  ASSERT_EQ(back.num_nodes(), tree.num_nodes());
-  EXPECT_EQ(back.num_leaves(), tree.num_leaves());
-  EXPECT_EQ(back.root(), tree.root());
-  for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
-    const msa::TreeNode &a = tree.node(i), &b = back.node(i);
-    EXPECT_EQ(a.left, b.left);
-    EXPECT_EQ(a.right, b.right);
-    EXPECT_EQ(a.parent, b.parent);
-    EXPECT_EQ(a.left_length, b.left_length);
-    EXPECT_EQ(a.right_length, b.right_length);
-    EXPECT_EQ(a.height, b.height);
-    EXPECT_EQ(a.leaf_index, b.leaf_index);
-  }
-  EXPECT_EQ(back.postorder(), tree.postorder());
-}
+// ---- msa::GuideTree::from_nodes -------------------------------------------
 
 TEST(GuideTreeFromNodes, RejectsInconsistentShapes) {
   using msa::GuideTree;
@@ -337,27 +243,6 @@ std::vector<Codec> codec_corpus() {
             w, msa::Alignment::from_sequence(bio::Sequence("seq0", "ACDEF")));
       },
       +[](par::ByteReader& r) { (void)par::read_alignment(r); });
-  add("distance_matrix",
-      [](par::ByteWriter& w) {
-        util::SymmetricMatrix<double> m(3);
-        m(1, 0) = 0.5;
-        m(2, 0) = 1.25;
-        m(2, 1) = -0.75;
-        msa::write_distance_matrix(w, m);
-      },
-      +[](par::ByteReader& r) { (void)msa::read_distance_matrix(r); });
-  add("guide_tree",
-      [](par::ByteWriter& w) {
-        util::SymmetricMatrix<double> d(4);
-        d(1, 0) = 0.2;
-        d(2, 0) = 0.6;
-        d(2, 1) = 0.6;
-        d(3, 0) = 0.9;
-        d(3, 1) = 0.9;
-        d(3, 2) = 0.4;
-        msa::write_guide_tree(w, msa::GuideTree::upgma(d));
-      },
-      +[](par::ByteReader& r) { (void)msa::read_guide_tree(r); });
   return corpus;
 }
 

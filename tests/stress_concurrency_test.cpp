@@ -1,7 +1,7 @@
 // Deterministic high-contention stress drills for every shared concurrent
 // structure: nested ThreadPool fork-join, the dependency-counting guide-
-// tree scheduler on degenerate and wide trees, Daemon::stop() racing
-// run(), and ArtifactCache churn. The assertions are exact (every unit of
+// tree scheduler on degenerate and wide trees, and Daemon::stop() racing
+// run(). The assertions are exact (every unit of
 // work exactly once, children strictly before parents), so the suite is
 // meaningful in every preset; under the tsan preset these tests are the
 // designated race detectors for the runtime (ISSUE 10). Iteration counts
@@ -20,7 +20,6 @@
 #include "msa/guide_tree.hpp"
 #include "msa/tree_schedule.hpp"
 #include "serve/daemon.hpp"
-#include "util/artifact_cache.hpp"
 #include "util/stable_hash.hpp"
 #include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
@@ -269,64 +268,6 @@ TEST(DaemonStress, StopRacesStartupAndDrain) {
   }
   std::error_code ec;
   fs::remove_all(dir, ec);
-}
-
-// ---- ArtifactCache churn ----------------------------------------------------
-
-TEST(ArtifactCacheStress, PoolDrivenChurnKeepsInvariants) {
-  // Hammer one cache from the shared pool with a mix of put/get/clear/
-  // set_capacity. The checked invariants are the ones that survive any
-  // interleaving: resident bytes within capacity after the storm, a blob
-  // returned by get() is always intact (shared_ptr keeps evicted blobs
-  // alive for holders), and the stats counters are internally consistent.
-  util::ArtifactCache cache(1 << 16);
-  constexpr int kOps = 400;
-  std::atomic<int> next{0};
-  util::ThreadPool::shared().run(3, [&] {
-    for (;;) {
-      const int op = next.fetch_add(1, std::memory_order_relaxed);
-      if (op >= kOps) return;
-      const auto key = util::stable_hash128(std::vector<std::uint8_t>(
-          static_cast<std::size_t>(op % 37), 0xAB));
-      switch (op % 5) {
-        case 0:
-        case 1: {
-          std::vector<std::uint8_t> bytes(
-              static_cast<std::size_t>(97 + op % 1024),
-              static_cast<std::uint8_t>(op));
-          const auto blob = cache.put(key, std::move(bytes));
-          ASSERT_NE(blob, nullptr);
-          break;
-        }
-        case 2:
-        case 3: {
-          const auto blob = cache.get(key);
-          if (blob) {
-            // Whatever generation we got, it is a complete value.
-            ASSERT_FALSE(blob->empty());
-            EXPECT_EQ((*blob)[0], blob->back());
-          }
-          break;
-        }
-        default:
-          if (op % 50 == 4) {
-            cache.clear();
-          } else if (op % 25 == 9) {
-            cache.set_capacity(1 << (14 + op % 3));
-          }
-          break;
-      }
-    }
-  });
-  const auto st = cache.stats();
-  EXPECT_LE(st.stored_bytes, cache.capacity());
-  EXPECT_GE(st.insertions, 1u);
-  if (st.hits == 0) {
-    EXPECT_EQ(st.hit_bytes, 0u);
-  }
-  if (st.entries == 0) {
-    EXPECT_EQ(st.stored_bytes, 0u);
-  }
 }
 
 }  // namespace

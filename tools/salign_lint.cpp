@@ -14,9 +14,9 @@
 //                        writes in src/ outside util/io.cpp — writes go
 //                        through util::write_file_durable / retry_io
 //   codec-coverage       every write_X/read_X artifact codec pair declared
-//                        in core/stage/artifacts.hpp and msa/msa_serialize.hpp
-//                        is exercised at least twice in tests/ (round-trip
-//                        + malformed corpus), and the serve JSON codecs
+//                        in core/stage/artifacts.hpp is exercised at
+//                        least twice in tests/ (round-trip + malformed
+//                        corpus), and the serve JSON codecs
 //                        (JobSpec/JobRecord from_json) are test-referenced
 //   include-hygiene      files using a pinned set of concurrency/vocabulary
 //                        types (<mutex>, <atomic>, <thread>, ...) include
@@ -250,7 +250,7 @@ class Linter {
 
   // -- fault-site-registry ---------------------------------------------------
 
-  /// Site strings look like "cache.insert" / "serve.journal.write": two or
+  /// Site strings look like "checkpoint.write" / "serve.journal.write": two or
   /// more lowercase dotted segments.
   static bool is_site_shaped(const std::string& s) {
     static const std::regex grammar(R"([a-z]+(\.[a-z]+)+)");
@@ -433,10 +433,7 @@ class Linter {
     };
 
     static const std::regex decl(R"(\b(read_[a-z_]+)\s*\()");
-    for (const char* rel :
-         {"src/core/stage/artifacts.hpp", "src/msa/msa_serialize.hpp"}) {
-      const SourceFile* header = find(rel);
-      if (header == nullptr) continue;
+    if (const SourceFile* header = find("src/core/stage/artifacts.hpp")) {
       std::set<std::string> seen;
       for (std::sregex_iterator it(header->code_no_str.begin(),
                                    header->code_no_str.end(), decl),
