@@ -1,6 +1,5 @@
 #include "align/engine/batch.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -9,19 +8,6 @@
 #include "align/engine/striped.hpp"
 
 namespace salign::align::engine {
-
-namespace {
-
-/// Degenerate pairs short-circuit before any tier: aligning against an
-/// empty sequence is a single gap run (same formula as engine.cpp's
-/// empty_edge_global).
-float empty_edge_score(std::size_t m, std::size_t n, bio::GapPenalties gaps) {
-  const std::size_t len = std::max(m, n);
-  if (len == 0) return 0.0F;
-  return -(gaps.open + gaps.extend * static_cast<float>(len - 1));
-}
-
-}  // namespace
 
 /// Tier profiles and ladder state, kept out of batch.hpp so the striped
 /// kernel types stay internal to the engine.
@@ -49,7 +35,7 @@ struct ScoreBatch::Impl {
 
   float score(std::span<const std::uint8_t> other) {
     if (query.empty() || other.empty())
-      return empty_edge_score(query.size(), other.size(), gaps);
+      return detail::empty_edge_align(query.size(), other.size(), gaps).score;
     float s = 0.0F;
     if (first_tier <= ScoreTier::kInt8 && p8.viable() &&
         p8.viable_for(other.size())) {
@@ -92,23 +78,6 @@ AlignBatch::Stats& AlignBatch::Stats::operator+=(const Stats& o) {
   return *this;
 }
 
-namespace {
-
-/// Aligning against an empty sequence is a single gap run; reproduce the
-/// reference kernels' degenerate outputs exactly (engine.cpp does the same
-/// for the float path).
-PairwiseAlignment empty_edge_align(std::size_t m, std::size_t n,
-                                   bio::GapPenalties gaps) {
-  PairwiseAlignment out;
-  out.ops.assign(std::max(m, n), m == 0 ? EditOp::GapInA : EditOp::GapInB);
-  if (!out.ops.empty())
-    out.score =
-        -(gaps.open + gaps.extend * static_cast<float>(out.ops.size() - 1));
-  return out;
-}
-
-}  // namespace
-
 struct AlignBatch::Impl {
   std::vector<std::uint8_t> query;
   const bio::SubstitutionMatrix* matrix = nullptr;
@@ -132,7 +101,7 @@ struct AlignBatch::Impl {
 
   PairwiseAlignment align(std::span<const std::uint8_t> other) {
     if (query.empty() || other.empty())
-      return empty_edge_align(query.size(), other.size(), gaps);
+      return detail::empty_edge_align(query.size(), other.size(), gaps);
     PairwiseAlignment out;
     bool trace = false;
     if (first_tier <= ScoreTier::kInt8 && p8.viable() &&

@@ -1,28 +1,9 @@
 #include "align/engine/engine.hpp"
 
-#include <algorithm>
-
 #include "align/engine/batch.hpp"
 #include "align/engine/gotoh.hpp"
 
 namespace salign::align::engine {
-
-namespace {
-
-/// Shared degenerate-input handling for the global aligners (hoisted from the
-/// historical global.cpp / banded.cpp duplicates): aligning against an empty
-/// sequence is a single gap run.
-bool empty_edge_global(std::size_t m, std::size_t n, bio::GapPenalties gaps,
-                       PairwiseAlignment& out) {
-  if (m != 0 && n != 0) return false;
-  out.ops.assign(std::max(m, n), m == 0 ? EditOp::GapInA : EditOp::GapInB);
-  if (!out.ops.empty())
-    out.score =
-        -(gaps.open + gaps.extend * static_cast<float>(out.ops.size() - 1));
-  return true;
-}
-
-}  // namespace
 
 const char* tier_name(ScoreTier tier) {
   switch (tier) {
@@ -38,10 +19,9 @@ float global_score(std::span<const std::uint8_t> a,
                    const bio::SubstitutionMatrix& matrix,
                    bio::GapPenalties gaps, std::size_t* workspace_bytes,
                    ScoreTier first_tier) {
-  PairwiseAlignment edge;
-  if (empty_edge_global(a.size(), b.size(), gaps, edge)) {
+  if (a.empty() || b.empty()) {
     if (workspace_bytes != nullptr) *workspace_bytes = 0;
-    return edge.score;
+    return detail::empty_edge_align(a.size(), b.size(), gaps).score;
   }
   ScoreBatch batch(a, matrix, gaps, first_tier);
   const float score = batch.score(b);
@@ -57,8 +37,8 @@ PairwiseAlignment global_align(std::span<const std::uint8_t> a,
   // integer traceback tiers are bit-identical to the float kernels, and the
   // O(alphabet * m) profile build is amortized by the O(m * n) DP. Callers
   // aligning one query against many should build the AlignBatch themselves.
-  PairwiseAlignment out;
-  if (empty_edge_global(a.size(), b.size(), gaps, out)) return out;
+  if (a.empty() || b.empty())
+    return detail::empty_edge_align(a.size(), b.size(), gaps);
   AlignBatch batch(a, matrix, gaps, first_tier);
   return batch.align(b);
 }
@@ -68,8 +48,8 @@ PairwiseAlignment banded_global_align(std::span<const std::uint8_t> a,
                                       const bio::SubstitutionMatrix& matrix,
                                       bio::GapPenalties gaps,
                                       std::size_t band) {
-  PairwiseAlignment out;
-  if (empty_edge_global(a.size(), b.size(), gaps, out)) return out;
+  if (a.empty() || b.empty())
+    return detail::empty_edge_align(a.size(), b.size(), gaps);
   return detail::global_align_impl(a, b, matrix, gaps, band, true);
 }
 

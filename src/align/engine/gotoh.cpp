@@ -550,6 +550,16 @@ void load_block(const ForwardState& fs, const Checkpoints& cp, std::size_t top,
 
 // ---- entry points ----------------------------------------------------------
 
+PairwiseAlignment empty_edge_align(std::size_t m, std::size_t n,
+                                   bio::GapPenalties gaps) {
+  PairwiseAlignment out;
+  out.ops.assign(std::max(m, n), m == 0 ? EditOp::GapInA : EditOp::GapInB);
+  if (!out.ops.empty())
+    out.score =
+        -(gaps.open + gaps.extend * static_cast<float>(out.ops.size() - 1));
+  return out;
+}
+
 float global_score_impl(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         const bio::SubstitutionMatrix& matrix,

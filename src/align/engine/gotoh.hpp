@@ -31,6 +31,13 @@ PairwiseAlignment global_align_impl(std::span<const std::uint8_t> a,
                                     bio::GapPenalties gaps, std::size_t band,
                                     bool banded);
 
+/// Global alignment of an m-residue sequence against an n-residue one when
+/// either is empty: one gap run of max(m, n) ops (score 0 when both are
+/// empty). Every global entry point, score-only ones included, answers
+/// degenerate pairs with this before any kernel runs.
+PairwiseAlignment empty_edge_align(std::size_t m, std::size_t n,
+                                   bio::GapPenalties gaps);
+
 /// Full local (Smith–Waterman) alignment with the same checkpointed
 /// traceback machinery.
 LocalAlignment local_align_impl(std::span<const std::uint8_t> a,

@@ -69,6 +69,9 @@ int run_align(std::span<const std::string> args, std::ostream& out,
       return 0;
     }
     if (p.get("in").empty()) throw UsageError("--in is required");
+    const std::string format = p.get("format");
+    if (format != "fasta" && format != "clustal")
+      throw UsageError("--format must be fasta or clustal");
 
     core::SampleAlignDConfig cfg;
     cfg.num_procs = static_cast<int>(p.get_int("procs", 1, 1024));
@@ -103,9 +106,6 @@ int run_align(std::span<const std::string> args, std::ostream& out,
     const msa::Alignment aln =
         core::SampleAlignD(cfg).align(seqs, &stats);
 
-    const std::string format = p.get("format");
-    if (format != "fasta" && format != "clustal")
-      throw UsageError("--format must be fasta or clustal");
     const auto write_alignment_to = [&](std::ostream& os) {
       if (format == "clustal") {
         msa::write_clustal(os, aln);

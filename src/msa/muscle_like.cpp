@@ -40,31 +40,6 @@ util::SymmetricMatrix<double> induced_kimura_distances(const Alignment& aln,
       });
 }
 
-/// Restores input order: progressive emits rows in tree leaf order.
-Alignment reorder_to_input(const Alignment& aln,
-                           std::span<const bio::Sequence> seqs) {
-  std::unordered_map<std::string, std::size_t> row_by_id;
-  for (std::size_t r = 0; r < aln.num_rows(); ++r)
-    row_by_id.emplace(aln.row(r).id, r);
-  std::vector<std::size_t> order;
-  order.reserve(seqs.size());
-  for (const auto& s : seqs) {
-    const auto it = row_by_id.find(s.id());
-    if (it == row_by_id.end())
-      throw std::logic_error("MuscleAligner: lost sequence " + s.id());
-    order.push_back(it->second);
-  }
-  return aln.subset(order);
-}
-
-/// row_of_leaf map for refinement after reordering to input order: leaf i of
-/// the tree is sequence i, which is row i.
-std::vector<std::size_t> identity_rows(std::size_t n) {
-  std::vector<std::size_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = i;
-  return v;
-}
-
 }  // namespace
 
 MuscleAligner::MuscleAligner(MuscleOptions options,
@@ -129,7 +104,6 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
   // Stage 2: Kimura distances from the stage-1 alignment, rebuilt tree,
   // re-aligned.
   if (options_.reestimate_tree) {
-    aln = reorder_to_input(aln, seqs);
     const util::SymmetricMatrix<double> kim = [&] {
       ScopedPhase phase(ps, "stage2 distance matrix");
       return induced_kimura_distances(aln, options_.threads);
@@ -145,17 +119,13 @@ Alignment MuscleAligner::align(std::span<const bio::Sequence> seqs) const {
     }
   }
 
-  aln = reorder_to_input(aln, seqs);
-
-  // Stage 3: optional refinement (rows are in input order == leaf order).
+  // Stage 3: optional refinement.
   if (options_.refine_passes > 0) {
     ScopedPhase phase(ps, "refine");
     RefineOptions ro;
     ro.passes = options_.refine_passes;
     ro.gaps = matrix_->default_gaps();
-    const auto rows = identity_rows(seqs.size());
-    std::vector<double> weights = tree.leaf_weights();
-    refine(aln, tree, rows, *matrix_, ro, weights);
+    refine(aln, tree, *matrix_, ro, po.weights);
   }
 
   aln.validate();

@@ -12,28 +12,6 @@
 
 namespace salign::msa {
 
-namespace {
-
-using align::EditOp;
-
-/// Re-inserts row `row_index`'s re-aligned version into `rest` (the
-/// alignment of all other rows, in their original relative order) and
-/// restores the original row order.
-Alignment reassemble(const Alignment& rest, const Alignment& row_aln,
-                     std::span<const EditOp> ops, std::size_t row_index) {
-  const Alignment merged = merge_alignments(rest, row_aln, ops);
-  // merged rows: rest rows in order, then the polished row last.
-  std::vector<std::size_t> order;
-  order.reserve(merged.num_rows());
-  for (std::size_t r = 0; r < row_index; ++r) order.push_back(r);
-  order.push_back(merged.num_rows() - 1);
-  for (std::size_t r = row_index; r + 1 < merged.num_rows(); ++r)
-    order.push_back(r);
-  return merged.subset(order);
-}
-
-}  // namespace
-
 std::vector<double> row_profile_scores(const Alignment& aln,
                                        const bio::SubstitutionMatrix& matrix) {
   if (aln.empty()) return {};
@@ -98,14 +76,12 @@ std::size_t polish_divergent_rows(Alignment& aln,
       for (std::size_t i = 0; i < aln.num_rows(); ++i)
         if (i != r) rest_rows.push_back(i);
 
-      Alignment rest = aln.subset(rest_rows);
-      rest.strip_all_gap_columns();
-      Alignment row_aln = aln.subset(std::vector<std::size_t>{r});
-      row_aln.strip_all_gap_columns();
-      if (row_aln.num_cols() == 0) continue;
+      const std::vector<std::size_t> row{r};
+      const RowSplit split = split_rows(aln, rest_rows, row);
+      if (split.b.num_cols() == 0) continue;
 
-      const Profile prest(rest, matrix);
-      const Profile prow(row_aln, matrix);
+      const Profile prest(split.a, matrix);
+      const Profile prow(split.b, matrix);
       ProfileAlignOptions po;
       po.gaps = opts.gaps;
 
@@ -121,8 +97,7 @@ std::size_t polish_divergent_rows(Alignment& aln,
         if (o != r)
           old_contrib += induced_pair_score(aln, r, o, matrix, opts.gaps);
 
-      Alignment candidate = reassemble(rest, row_aln, fresh.ops, r);
-      candidate.strip_all_gap_columns();
+      Alignment candidate = rejoin_rows(split, fresh.ops);
       double new_contrib = 0.0;
       for (std::size_t o = 0; o < candidate.num_rows(); ++o)
         if (o != r)

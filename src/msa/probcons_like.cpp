@@ -9,7 +9,7 @@
 #include "align/distance.hpp"
 #include "msa/guide_tree.hpp"
 #include "msa/profile_align.hpp"
-#include "msa/tree_schedule.hpp"
+#include "msa/progressive.hpp"
 #include "util/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -235,68 +235,36 @@ Alignment ProbConsAligner::align(std::span<const Sequence> seqs) const {
 
   // Stage 4: progressive MEA alignment along the tree. Merges of
   // independent subtrees run concurrently (the posterior table is read-only
-  // by now); each task writes only its own node's slots, so the result is
-  // bit-identical for every thread count.
-  std::vector<Alignment> node_aln(tree.num_nodes());
-  std::vector<std::vector<std::size_t>> node_rows(tree.num_nodes());
-  schedule_tree(tree, options_.threads, [&](int idx) {
-    const auto u = static_cast<std::size_t>(idx);
-    const TreeNode& node = tree.node(u);
-    if (tree.is_leaf(u)) {
-      node_aln[u] = Alignment::from_sequence(
-          seqs[static_cast<std::size_t>(node.leaf_index)]);
-      node_rows[u] = {static_cast<std::size_t>(node.leaf_index)};
-      return;
-    }
-    const auto l = static_cast<std::size_t>(node.left);
-    const auto r = static_cast<std::size_t>(node.right);
-    const std::vector<EditOp> ops = mea_merge_path(
-        node_aln[l], node_aln[r], node_rows[l], node_rows[r], post);
-    node_aln[u] = merge_alignments(node_aln[l], node_aln[r], ops);
-    node_rows[u] = node_rows[l];
-    node_rows[u].insert(node_rows[u].end(), node_rows[r].begin(),
-                        node_rows[r].end());
-    node_aln[l] = Alignment();
-    node_aln[r] = Alignment();
-  });
-  Alignment aln = std::move(node_aln[static_cast<std::size_t>(tree.root())]);
-  std::vector<std::size_t> row_seq = node_rows[static_cast<std::size_t>(
-      tree.root())];  // row r carries sequence row_seq[r]
+  // by now).
+  TreeAlignment merged = merge_along_tree(
+      seqs, tree, options_.threads,
+      [&](const Alignment& left, std::span<const std::size_t> left_rows,
+          const Alignment& right, std::span<const std::size_t> right_rows) {
+        return mea_merge_path(left, right, left_rows, right_rows, post);
+      });
+  Alignment aln = merged.in_input_order();
 
   // Stage 5: random-bipartition iterative refinement (accepted
-  // unconditionally, as in ProbCons).
+  // unconditionally, as in ProbCons). ProbCons stacks the two re-aligned
+  // halves, so the row order the next pass draws over is the tree's leaf
+  // order at first, then each pass's side A followed by its side B; `order`
+  // tracks it as input indices while `aln` stays in input order.
+  std::vector<std::size_t> order = std::move(merged.rows);
   util::Rng rng(options_.refine_seed);
   for (int pass = 0; pass < options_.refine_passes; ++pass) {
     std::vector<std::size_t> ga;
     std::vector<std::size_t> gb;
-    for (std::size_t r = 0; r < aln.num_rows(); ++r)
-      (rng.chance(0.5) ? ga : gb).push_back(r);
+    for (const std::size_t s : order) (rng.chance(0.5) ? ga : gb).push_back(s);
     if (ga.empty() || gb.empty()) continue;
 
-    Alignment part_a = aln.subset(ga);
-    Alignment part_b = aln.subset(gb);
-    part_a.strip_all_gap_columns();
-    part_b.strip_all_gap_columns();
-    std::vector<std::size_t> rows_a;
-    std::vector<std::size_t> rows_b;
-    for (std::size_t r : ga) rows_a.push_back(row_seq[r]);
-    for (std::size_t r : gb) rows_b.push_back(row_seq[r]);
-
-    const std::vector<EditOp> ops =
-        mea_merge_path(part_a, part_b, rows_a, rows_b, post);
-    aln = merge_alignments(part_a, part_b, ops);
-    std::vector<std::size_t> new_row_seq = rows_a;
-    new_row_seq.insert(new_row_seq.end(), rows_b.begin(), rows_b.end());
-    row_seq = std::move(new_row_seq);
+    const RowSplit split = split_rows(aln, ga, gb);
+    aln = rejoin_rows(split, mea_merge_path(split.a, split.b, ga, gb, post));
+    order = std::move(ga);
+    order.insert(order.end(), gb.begin(), gb.end());
   }
 
-  // Restore input row order.
-  std::vector<std::size_t> perm(aln.num_rows());
-  for (std::size_t r = 0; r < aln.num_rows(); ++r) perm[row_seq[r]] = r;
-  Alignment out = aln.subset(perm);
-  out.strip_all_gap_columns();
-  out.validate();
-  return out;
+  aln.validate();
+  return aln;
 }
 
 }  // namespace salign::msa

@@ -39,6 +39,15 @@ Profile::Profile(const Alignment& aln, const bio::SubstitutionMatrix& matrix,
   }
 }
 
+std::vector<double> gather_weights(std::span<const double> weights,
+                                   std::span<const std::size_t> rows) {
+  std::vector<double> out;
+  if (weights.empty()) return out;
+  out.reserve(rows.size());
+  for (std::size_t r : rows) out.push_back(weights[r]);
+  return out;
+}
+
 float Profile::psp(const Profile& other, std::size_t ca, std::size_t cb) const {
   if (alpha_size_ != other.alpha_size_)
     throw std::invalid_argument("Profile::psp: alphabet mismatch");

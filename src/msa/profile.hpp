@@ -49,4 +49,9 @@ class Profile {
   std::vector<float> occ_;
 };
 
+/// The weights of `rows` (`weights[rows[0]]`, ...), for a Profile over those
+/// rows; empty (uniform) when `weights` is empty.
+[[nodiscard]] std::vector<double> gather_weights(
+    std::span<const double> weights, std::span<const std::size_t> rows);
+
 }  // namespace salign::msa

@@ -158,6 +158,27 @@ Alignment merge_alignments(const Alignment& a, const Alignment& b,
   return Alignment(std::move(rows), a.alphabet_kind());
 }
 
+RowSplit split_rows(const Alignment& aln, std::span<const std::size_t> rows_a,
+                    std::span<const std::size_t> rows_b) {
+  if (rows_a.size() + rows_b.size() != aln.num_rows())
+    throw std::invalid_argument("split_rows: rows must partition the alignment");
+  RowSplit split{rows_a, rows_b, aln.subset(rows_a), aln.subset(rows_b)};
+  split.a.strip_all_gap_columns();
+  split.b.strip_all_gap_columns();
+  return split;
+}
+
+Alignment rejoin_rows(const RowSplit& split,
+                      std::span<const align::EditOp> ops) {
+  const Alignment merged = merge_alignments(split.a, split.b, ops);
+  std::vector<std::size_t> order(merged.num_rows());
+  for (std::size_t x = 0; x < split.rows_a.size(); ++x)
+    order[split.rows_a[x]] = x;
+  for (std::size_t x = 0; x < split.rows_b.size(); ++x)
+    order[split.rows_b[x]] = split.rows_a.size() + x;
+  return merged.subset(order);
+}
+
 std::vector<align::EditOp> implied_path(const Alignment& aln,
                                         std::span<const std::size_t> group_a,
                                         std::span<const std::size_t> group_b) {

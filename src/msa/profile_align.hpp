@@ -446,6 +446,31 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
                                          const Alignment& b,
                                          std::span<const align::EditOp> ops);
 
+/// A split of an alignment's rows into two sides, each degapped (its all-gap
+/// columns stripped): row x of `a` is row `rows_a[x]` of the source
+/// alignment, likewise for `b`. The spans view the caller's index lists,
+/// which must outlive the split. Built by split_rows; re-merged along a new
+/// column path by rejoin_rows — the split/re-merge step of tree-bipartition
+/// refinement, divergent-row polish and ProbCons' random-bipartition pass.
+struct RowSplit {
+  std::span<const std::size_t> rows_a;
+  std::span<const std::size_t> rows_b;
+  Alignment a;
+  Alignment b;
+};
+
+/// Cuts rows `rows_a` and `rows_b` (in the given order) out of `aln` and
+/// degaps each side. Together the two lists must cover every row of `aln`
+/// exactly once.
+[[nodiscard]] RowSplit split_rows(const Alignment& aln,
+                                  std::span<const std::size_t> rows_a,
+                                  std::span<const std::size_t> rows_b);
+
+/// merge_alignments(split.a, split.b, ops) with every row put back at the
+/// position it was cut from. Has no all-gap columns.
+[[nodiscard]] Alignment rejoin_rows(const RowSplit& split,
+                                    std::span<const align::EditOp> ops);
+
 /// Derives the implied column path of a combined alignment split into two
 /// row groups: a column with residues only in group A maps to GapInB, only
 /// in B to GapInA, in both to Match. Columns empty in both groups are

@@ -1,8 +1,6 @@
 #include "msa/refinement.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
@@ -12,27 +10,21 @@ namespace salign::msa {
 
 namespace {
 
-std::vector<double> gather_weights(std::span<const double> weights,
-                                   std::span<const std::size_t> rows) {
-  std::vector<double> out;
-  if (weights.empty()) return out;
-  out.reserve(rows.size());
-  for (std::size_t r : rows) out.push_back(weights[r]);
-  return out;
-}
+/// Minimum gain, on the PSP objective and on the SP delta, for accepting a
+/// re-alignment.
+constexpr float kMinGain = 1e-4F;
 
 }  // namespace
 
 std::size_t refine(Alignment& aln, const GuideTree& tree,
-                   std::span<const std::size_t> row_of_leaf,
                    const bio::SubstitutionMatrix& matrix,
                    const RefineOptions& opts,
                    std::span<const double> weights) {
-  if (row_of_leaf.size() != tree.num_leaves())
-    throw std::invalid_argument("refine: row_of_leaf size mismatch");
+  if (tree.num_leaves() != aln.num_rows())
+    throw std::invalid_argument("refine: tree/alignment leaf count mismatch");
   if (!weights.empty() && weights.size() != aln.num_rows())
     throw std::invalid_argument("refine: weights size mismatch");
-  if (aln.num_rows() < 2 || tree.num_leaves() < 2) return 0;
+  if (aln.num_rows() < 2) return 0;
 
   const std::size_t all_rows = aln.num_rows();
   std::size_t accepted = 0;
@@ -42,11 +34,10 @@ std::size_t refine(Alignment& aln, const GuideTree& tree,
     for (int id : tree.postorder()) {
       if (id == tree.root()) continue;
 
-      // Bipartition rows by the edge above node `id`.
-      std::vector<std::size_t> group_a;
-      for (int leaf : tree.leaves_under(id))
-        group_a.push_back(row_of_leaf[static_cast<std::size_t>(leaf)]);
-      std::sort(group_a.begin(), group_a.end());
+      // Bipartition rows by the edge above node `id` (row l is leaf l, and
+      // leaves_under is sorted).
+      const std::vector<int> leaves = tree.leaves_under(id);
+      const std::vector<std::size_t> group_a(leaves.begin(), leaves.end());
       if (group_a.empty() || group_a.size() == all_rows) continue;
 
       std::vector<std::size_t> group_b;
@@ -62,14 +53,9 @@ std::size_t refine(Alignment& aln, const GuideTree& tree,
       }
 
       // Degapped sub-alignments and their profiles.
-      Alignment sub_a = aln.subset(group_a);
-      Alignment sub_b = aln.subset(group_b);
-      sub_a.strip_all_gap_columns();
-      sub_b.strip_all_gap_columns();
-      const std::vector<double> wa = gather_weights(weights, group_a);
-      const std::vector<double> wb = gather_weights(weights, group_b);
-      const Profile pa(sub_a, matrix, wa);
-      const Profile pb(sub_b, matrix, wb);
+      const RowSplit split = split_rows(aln, group_a, group_b);
+      const Profile pa(split.a, matrix, gather_weights(weights, group_a));
+      const Profile pb(split.b, matrix, gather_weights(weights, group_b));
 
       ProfileAlignOptions po;
       po.gaps = opts.gaps;
@@ -78,29 +64,22 @@ std::size_t refine(Alignment& aln, const GuideTree& tree,
           implied_path(aln, group_a, group_b);
       const float current_score = score_profile_path(pa, pb, current, po);
       const ProfileAlignResult fresh = align_profiles(pa, pb, po);
-      if (fresh.score <= current_score + opts.min_gain) continue;
+      if (fresh.score <= current_score + kMinGain) continue;
 
-      // Candidate alignment in the original row order.
-      const Alignment merged = merge_alignments(sub_a, sub_b, fresh.ops);
-      std::vector<AlignedRow> rows(all_rows);
-      for (std::size_t x = 0; x < group_a.size(); ++x)
-        rows[group_a[x]] = merged.row(x);
-      for (std::size_t x = 0; x < group_b.size(); ++x)
-        rows[group_b[x]] = merged.row(group_a.size() + x);
-      Alignment candidate(std::move(rows), aln.alphabet_kind());
+      Alignment candidate = rejoin_rows(split, fresh.ops);
 
-      if (opts.sp_gate) {
-        // Only cross-group pairs change under a bipartition re-alignment
-        // (within-group columns are carried over verbatim), so the SP
-        // delta needs |A|*|B| induced pair scores, not all pairs.
-        double delta = 0.0;
-        for (const std::size_t ra : group_a)
-          for (const std::size_t rb : group_b)
-            delta += induced_pair_score(candidate, ra, rb, matrix,
-                                        opts.gaps) -
-                     induced_pair_score(aln, ra, rb, matrix, opts.gaps);
-        if (delta <= opts.min_gain) continue;
-      }
+      // Gate on the true cross-group sum-of-pairs delta too (the profile DP
+      // *proposes* the re-alignment; this rejects PSP wins that lose SP —
+      // MUSCLE's own refinement accepts on SP). Only cross-group pairs
+      // change under a bipartition re-alignment (within-group columns are
+      // carried over verbatim), so the delta needs |A|*|B| induced pair
+      // scores, not all pairs.
+      double delta = 0.0;
+      for (const std::size_t ra : group_a)
+        for (const std::size_t rb : group_b)
+          delta += induced_pair_score(candidate, ra, rb, matrix, opts.gaps) -
+                   induced_pair_score(aln, ra, rb, matrix, opts.gaps);
+      if (delta <= kMinGain) continue;
 
       aln = std::move(candidate);
       ++accepted;

@@ -15,28 +15,20 @@ struct RefineOptions {
   /// Full sweeps over all internal edges.
   int passes = 1;
   bio::GapPenalties gaps;
-  /// Minimum score improvement to accept a re-alignment (guards float
-  /// noise / churn).
-  float min_gain = 1e-4F;
-  /// Gate acceptance on the true cross-group sum-of-pairs delta in
-  /// addition to the PSP objective (the profile DP still *proposes* the
-  /// re-alignment; this check rejects PSP wins that lose SP — MUSCLE's own
-  /// refinement accepts on SP). Costs O(|A|·|B|·cols) per candidate, so
-  /// very large alignments may prefer to disable it.
-  bool sp_gate = true;
 };
 
 /// Refines `aln` by repeatedly deleting a guide-tree edge, splitting the
 /// rows into the two leaf sets, degapping each side and re-aligning the two
-/// profiles; the re-alignment is kept only when its PSP objective improves
-/// on the incumbent path's score. Row order of `aln` is preserved.
+/// profiles. A re-alignment is kept only when it beats the incumbent on both
+/// the PSP objective of the split and the cross-group sum-of-pairs score
+/// (each by more than 1e-4, which guards float noise and churn). Row order
+/// of `aln` is preserved.
 ///
-/// `tree` must be the guide tree over the same sequences; `row_of_leaf[l]`
-/// maps the tree's leaf index `l` to the alignment row carrying that
-/// sequence. `weights` are per-row sequence weights (empty = uniform).
-/// Returns the number of accepted re-alignments.
+/// `tree` must be the guide tree over the same sequences, with row l of
+/// `aln` carrying leaf l — the row order progressive_align returns.
+/// `weights` are per-row sequence weights (empty = uniform). Returns the
+/// number of accepted re-alignments.
 std::size_t refine(Alignment& aln, const GuideTree& tree,
-                   std::span<const std::size_t> row_of_leaf,
                    const bio::SubstitutionMatrix& matrix,
                    const RefineOptions& opts,
                    std::span<const double> weights = {});

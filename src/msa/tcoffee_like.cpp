@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "align/distance.hpp"
 #include "msa/guide_tree.hpp"
 #include "msa/profile.hpp"
 #include "msa/profile_align.hpp"
-#include "msa/tree_schedule.hpp"
+#include "msa/progressive.hpp"
 #include "util/matrix.hpp"
 
 namespace salign::msa {
@@ -150,29 +149,13 @@ Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
   // 2. Extension.
   const Library ext = extend_library(primary);
 
-  // 3. Progressive alignment under the consistency objective.
+  // 3. Progressive alignment under the consistency objective. Merges of
+  // independent subtrees run concurrently (the library is read-only by now).
   const GuideTree tree = GuideTree::neighbor_joining(dist);
-  std::vector<Alignment> partial(tree.num_nodes());
-  // Sequence indices of the rows of each partial alignment.
-  std::vector<std::vector<std::size_t>> members(tree.num_nodes());
-
-  // Merges of independent subtrees run concurrently (the library is
-  // read-only by now); each task writes only its own node's slots, so the
-  // result is bit-identical for every thread count.
-  schedule_tree(tree, options_.threads, [&](int id) {
-    const TreeNode& nd = tree.node(static_cast<std::size_t>(id));
-    if (tree.is_leaf(static_cast<std::size_t>(id))) {
-      partial[static_cast<std::size_t>(id)] = Alignment::from_sequence(
-          seqs[static_cast<std::size_t>(nd.leaf_index)]);
-      members[static_cast<std::size_t>(id)] = {
-          static_cast<std::size_t>(nd.leaf_index)};
-      return;
-    }
-    Alignment& left = partial[static_cast<std::size_t>(nd.left)];
-    Alignment& right = partial[static_cast<std::size_t>(nd.right)];
-    auto& ml = members[static_cast<std::size_t>(nd.left)];
-    auto& mr = members[static_cast<std::size_t>(nd.right)];
-
+  const auto consistency_path = [&](const Alignment& left,
+                                    std::span<const std::size_t> ml,
+                                    const Alignment& right,
+                                    std::span<const std::size_t> mr) {
     // Consistency score matrix between left columns and right columns:
     // every extended-library edge crossing the two groups votes for one
     // (column, column) cell — O(edges), not O(cells * rows^2).
@@ -216,30 +199,17 @@ Alignment TCoffeeAligner::align(std::span<const bio::Sequence> seqs) const {
 
     ProfileAlignOptions po;
     po.gaps = bio::GapPenalties{options_.gap_open, options_.gap_extend};
-    const ProfileAlignResult res = detail::profile_dp(
-        left.num_cols(), right.num_cols(),
-        [&](std::size_t ca, std::size_t cb) { return score(ca, cb) * norm; },
-        occ_a, occ_b, po);
-
-    partial[static_cast<std::size_t>(id)] =
-        merge_alignments(left, right, res.ops);
-    auto& m = members[static_cast<std::size_t>(id)];
-    m.reserve(ml.size() + mr.size());
-    m.insert(m.end(), ml.begin(), ml.end());
-    m.insert(m.end(), mr.begin(), mr.end());
-    left = Alignment{};
-    right = Alignment{};
-  });
-
-  // Restore input order.
-  Alignment aln = partial[static_cast<std::size_t>(tree.root())];
-  std::unordered_map<std::string, std::size_t> row_by_id;
-  for (std::size_t r = 0; r < aln.num_rows(); ++r)
-    row_by_id.emplace(aln.row(r).id, r);
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (const auto& s : seqs) order.push_back(row_by_id.at(s.id()));
-  aln = aln.subset(order);
+    return detail::profile_dp(
+               left.num_cols(), right.num_cols(),
+               [&](std::size_t ca, std::size_t cb) {
+                 return score(ca, cb) * norm;
+               },
+               occ_a, occ_b, po)
+        .ops;
+  };
+  Alignment aln =
+      merge_along_tree(seqs, tree, options_.threads, consistency_path)
+          .in_input_order();
   aln.validate();
   return aln;
 }

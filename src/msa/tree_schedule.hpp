@@ -11,7 +11,8 @@ namespace salign::msa {
 /// calling thread plus up to `threads - 1` workers from the shared
 /// util::ThreadPool.
 ///
-/// This is the task engine of the parallel progressive pass: each internal
+/// This is the task engine of msa::merge_along_tree (progressive.hpp), the
+/// guide-tree merge driver of every progressive aligner: each internal
 /// node is a task with a dependency count of two that fires when both
 /// children are merged, so independent subtrees align concurrently and the
 /// only serialization left is the tree's critical path. With threads <= 1
@@ -21,13 +22,12 @@ namespace salign::msa {
 /// node and by its two children — the children are complete, no other task
 /// will ever read or write them again, and the scheduler's queue mutex
 /// orders their writes before the parent runs, so the parent may freely
-/// consume and even clear their slots (the progressive consumers do, to
-/// free merged partials eagerly). Under that contract the final per-node
-/// results are identical
-/// for every `threads` value, because each node's result is a pure function
-/// of its children's results regardless of execution order. All consumers
-/// in this library (PSP progressive, T-Coffee consistency, ProbCons MEA)
-/// are pinned bit-identical across thread counts by the
+/// consume and even clear their slots (the merge driver does, to free
+/// merged partials eagerly). Under that contract the final per-node results
+/// are identical for every `threads` value, because each node's result is a
+/// pure function of its children's results regardless of execution order.
+/// Every aligner on the driver (PSP progressive, T-Coffee consistency,
+/// ProbCons MEA) is pinned bit-identical across thread counts by the
 /// tests/msa_parallel_test.cpp invariance suite.
 ///
 /// If any `node_fn` throws, the schedule drains (running nodes finish, no

@@ -384,7 +384,7 @@ Json Daemon::op_cancel(const Json& request) {
       queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
                    queue_.end());
       rec.state = JobState::kCancelled;
-      rec.exit_code = 4;
+      rec.exit_code = cli::kExitDeadline;
       rec.error = "cancelled while queued";
       rec.updated_ms = now_ms();
       ++counters_.cancelled;
@@ -525,21 +525,21 @@ Daemon::Outcome Daemon::run_job(
               text.size()),
           "serve.result.write");
     });
-    return {JobState::kDone, 0, ""};
+    return {JobState::kDone, cli::kExitOk, ""};
   } catch (const util::DeadlineExceeded& e) {
     // Deadline eviction: the stage machinery guarantees the checkpoint
     // left behind is verify-clean, so an operator (or a resubmit with a
     // bigger budget) resumes instead of restarting.
-    return {JobState::kEvicted, 4, e.what()};
+    return {JobState::kEvicted, cli::kExitDeadline, e.what()};
   } catch (const util::CancelledError& e) {
-    if (draining_.load()) return {JobState::kQueued, 0, ""};
-    return {JobState::kCancelled, 4, e.what()};
+    if (draining_.load()) return {JobState::kQueued, cli::kExitOk, ""};
+    return {JobState::kCancelled, cli::kExitDeadline, e.what()};
   } catch (const bio::InvalidInput& e) {
-    return {JobState::kFailed, 3, e.what()};
+    return {JobState::kFailed, cli::kExitInvalidInput, e.what()};
   } catch (const std::invalid_argument& e) {
-    return {JobState::kFailed, 3, e.what()};
+    return {JobState::kFailed, cli::kExitInvalidInput, e.what()};
   } catch (const std::exception& e) {
-    return {JobState::kFailed, 1, e.what()};
+    return {JobState::kFailed, cli::kExitRuntime, e.what()};
   }
 }
 

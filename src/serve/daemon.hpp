@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "serve/journal.hpp"
 #include "serve/socket.hpp"
 #include "util/budget.hpp"
@@ -100,7 +101,7 @@ class Daemon {
  private:
   struct Outcome {
     JobState state = JobState::kDone;
-    int exit_code = 0;
+    cli::ExitCode exit_code = cli::kExitOk;
     std::string error;
   };
 

@@ -431,6 +431,18 @@ TEST_F(CliTest, AlignUnknownFormatIsUsageError) {
   EXPECT_EQ(r.status, 2);
 }
 
+TEST_F(CliTest, AlignUnknownFormatIsRejectedBeforeReadingInput) {
+  // The flag is checked up front: no FASTA read (the input does not exist,
+  // which would exit 1), no alignment and no checkpoint.
+  const std::string ck = path("ck");
+  const Result r =
+      run(argv({"align", "--in", path("missing.fasta"), "--format", "bogus",
+                "--checkpoint-dir", ck}));
+  EXPECT_EQ(r.status, 2);
+  EXPECT_NE(r.err.find("--format"), std::string::npos);
+  EXPECT_FALSE(fs::exists(ck));
+}
+
 // ---- tree -------------------------------------------------------------------
 
 namespace {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "align/engine/simd.hpp"
+#include "cli/commands.hpp"
 #include "core/sample_align_d.hpp"
 #include "msa/muscle_like.hpp"
 #include "msa/polish.hpp"
@@ -409,13 +410,13 @@ TEST(PolishPipeline, SingleProcPolishMatchesLibraryPolish) {
 // refactor of the staged executor must leave both untouched; a change here
 // means the pipeline's output or its modeled traffic moved.
 
-std::vector<Sequence> genome_input() {
+std::vector<Sequence> genome_input(std::size_t n = 48) {
   workload::GenomeParams gp;
   gp.num_families = 12;
   gp.mean_family_size = 6.0;
   gp.num_orphans = 20;
   gp.mean_length = 80;
-  return workload::GenomeSimulator(gp).sample(48, 11);
+  return workload::GenomeSimulator(gp).sample(n, 11);
 }
 
 std::string rows_digest(const Alignment& a) {
@@ -470,6 +471,71 @@ TEST(PipelinePin, RowDigestsAreFixed) {
     EXPECT_EQ(rows_digest(a), c.digest)
         << c.input << " p=" << c.p << " local_only="
         << (c.mode == RankMode::LocalOnly) << " ancestor=" << c.ancestor;
+  }
+}
+
+// Every registered sequential aligner (refinement, consistency and MEA
+// included), on a ROSE family and a genome sample. One digest per
+// (aligner, input): the thread count must never move it.
+TEST(AlignerPin, RowDigestsAreFixed) {
+  struct AlignerCase {
+    const char* name;
+    const char* family_digest;
+    const char* genome_digest;
+  };
+  const std::vector<Sequence> fam = family(24, 60, 1500, 2718);
+  const std::vector<Sequence> gen = genome_input(24);
+  const AlignerCase cases[] = {
+      {"muscle", "bd9a08b8e5f65f3be983eea26f206f1b",
+       "f7f3e984ef4fbf3ba64fd3d7bbd49116"},
+      {"muscle-refine", "3f0823692f9913065eb7d1748e2e53f2",
+       "04f3e35708be158869cd142f5863eb25"},
+      {"muscle-fast", "bd9a08b8e5f65f3be983eea26f206f1b",
+       "02b5923c0958938cb60823580d0f6d36"},
+      {"clustalw", "f1b32929d22e2c961c8938c5c8840134",
+       "996b38cf97186834882c01cc42cb7943"},
+      {"tcoffee", "26003254773b2b27726f1e8f8a54a70c",
+       "b308ed411e7e9a4b140ec957fdcd0bc2"},
+      {"nwnsi", "3f0823692f9913065eb7d1748e2e53f2",
+       "3e05a467bb5ef117ac544187622f61a1"},
+      {"fftnsi", "3f0823692f9913065eb7d1748e2e53f2",
+       "3e05a467bb5ef117ac544187622f61a1"},
+      {"probcons", "7faabf4bf9ded50c79a71894225edb9d",
+       "025ca1d204e5621dd483ee47c74645dd"},
+  };
+  for (const AlignerCase& c : cases) {
+    for (const unsigned threads : {1U, 4U}) {
+      const auto aligner = cli::make_aligner(c.name, threads);
+      EXPECT_EQ(rows_digest(aligner->align(fam)), c.family_digest)
+          << c.name << " family threads=" << threads;
+      EXPECT_EQ(rows_digest(aligner->align(gen)), c.genome_digest)
+          << c.name << " genome threads=" << threads;
+    }
+  }
+}
+
+// The root-side divergent-row polish after the glue, sequential and
+// distributed.
+TEST(PolishPin, RowDigestsAreFixed) {
+  const std::vector<Sequence> fam = family(48, 60, 1500, 4242);
+  const std::vector<Sequence> gen = genome_input();
+  const PinCase cases[] = {
+      {"family", 1, RankMode::Globalized, true,
+       "4b7d2133c3dfd83fefda5ddccfd2a803"},
+      {"family", 4, RankMode::Globalized, true,
+       "a041ad933181a20b98fa6a3b20e3d901"},
+      {"genome", 1, RankMode::Globalized, true,
+       "c1e5416709374f45c6b9f114fbda6b96"},
+      {"genome", 4, RankMode::Globalized, true,
+       "011cb4d96b9097ab48829d6942dc6fb1"},
+  };
+  for (const PinCase& c : cases) {
+    SampleAlignDConfig cfg;
+    cfg.num_procs = c.p;
+    cfg.polish_divergent = true;
+    const Alignment a = SampleAlignD(cfg).align(
+        std::string(c.input) == "family" ? fam : gen);
+    EXPECT_EQ(rows_digest(a), c.digest) << c.input << " p=" << c.p;
   }
 }
 

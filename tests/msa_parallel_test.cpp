@@ -210,7 +210,12 @@ TEST(ProgressiveThreads, BitIdenticalAcrossThreadCounts) {
     ProgressiveOptions po;
     po.gaps = B62().default_gaps();
     if (rng.chance(0.5)) po.weights = tree.leaf_weights();
-    if (rng.chance(0.3)) po.band = 8 + rng.below(32);
+    if (rng.chance(0.3)) {
+      const std::size_t band = 8 + rng.below(32);
+      po.band_provider = [band](const Alignment&, const Alignment&) {
+        return band;
+      };
+    }
     po.threads = 1;
     const Alignment serial = progressive_align(seqs, tree, B62(), po);
     for (unsigned threads : {2U, 4U, 16U}) {

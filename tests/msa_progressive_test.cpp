@@ -51,17 +51,42 @@ TEST(Progressive, AllRowsEqualLength) {
 TEST(Progressive, DegapRestoresEveryInput) {
   const auto seqs = family(10, 40, 700, 3);
   const Alignment a = progressive_align(seqs, tree_for(seqs), B62());
-  // Rows are in tree leaf order; match them back by id.
-  for (std::size_t r = 0; r < a.num_rows(); ++r) {
-    const Sequence d = a.degapped(r);
-    bool found = false;
-    for (const auto& s : seqs)
-      if (s.id() == d.id()) {
-        EXPECT_EQ(d, s);
-        found = true;
-      }
-    EXPECT_TRUE(found) << d.id();
-  }
+  // Row i carries input sequence i.
+  ASSERT_EQ(a.num_rows(), seqs.size());
+  for (std::size_t r = 0; r < a.num_rows(); ++r) EXPECT_EQ(a.degapped(r), seqs[r]);
+}
+
+TEST(MergeAlongTree, RootIsInLeafOrderWithInputIndices) {
+  const auto seqs = family(9, 30, 600, 12);
+  const GuideTree t = tree_for(seqs);
+  int merges = 0;
+  const TreeAlignment root = merge_along_tree(
+      seqs, t, 1,
+      [&](const Alignment& left, std::span<const std::size_t> left_rows,
+          const Alignment& right, std::span<const std::size_t> right_rows) {
+        ++merges;
+        EXPECT_EQ(left.num_rows(), left_rows.size());
+        EXPECT_EQ(right.num_rows(), right_rows.size());
+        for (std::size_t r = 0; r < left.num_rows(); ++r)
+          EXPECT_EQ(left.row(r).id, seqs[left_rows[r]].id());
+        // Left columns first, then right: a valid path for any children.
+        std::vector<align::EditOp> ops(left.num_cols(), align::EditOp::GapInB);
+        ops.insert(ops.end(), right.num_cols(), align::EditOp::GapInA);
+        return ops;
+      });
+  EXPECT_EQ(merges, 8);
+  // Postorder visits the leaves left to right.
+  std::vector<std::size_t> leaf_order;
+  for (int id : t.postorder())
+    if (t.is_leaf(static_cast<std::size_t>(id)))
+      leaf_order.push_back(static_cast<std::size_t>(
+          t.node(static_cast<std::size_t>(id)).leaf_index));
+  EXPECT_EQ(root.rows, leaf_order);
+  for (std::size_t r = 0; r < root.rows.size(); ++r)
+    EXPECT_EQ(root.aln.degapped(r), seqs[root.rows[r]]);
+  const Alignment ordered = root.in_input_order();
+  for (std::size_t r = 0; r < seqs.size(); ++r)
+    EXPECT_EQ(ordered.degapped(r), seqs[r]);
 }
 
 TEST(Progressive, IdenticalSequencesAlignWithoutGaps) {
@@ -164,16 +189,10 @@ TEST(Refine, NeverDegradesObjective) {
   Alignment a = progressive_align(seqs, t, B62());
   const double before = sp_score(a, B62(), B62().default_gaps());
 
-  // Rows are in tree leaf order; build row_of_leaf accordingly.
-  std::vector<std::size_t> row_of_leaf(seqs.size());
-  for (std::size_t r = 0; r < a.num_rows(); ++r) {
-    for (std::size_t s = 0; s < seqs.size(); ++s)
-      if (seqs[s].id() == a.row(r).id) row_of_leaf[s] = r;
-  }
   RefineOptions ro;
   ro.passes = 2;
   ro.gaps = B62().default_gaps();
-  refine(a, t, row_of_leaf, B62(), ro);
+  refine(a, t, B62(), ro);
   a.validate();
   const double after = sp_score(a, B62(), B62().default_gaps());
   // The PSP objective is not identical to SP, but refinement should not
@@ -193,13 +212,9 @@ TEST(Refine, ReportsAcceptedCount) {
   const auto seqs = family(6, 30, 900, 9);
   const GuideTree t = tree_for(seqs);
   Alignment a = progressive_align(seqs, t, B62());
-  std::vector<std::size_t> row_of_leaf(seqs.size());
-  for (std::size_t r = 0; r < a.num_rows(); ++r)
-    for (std::size_t s = 0; s < seqs.size(); ++s)
-      if (seqs[s].id() == a.row(r).id) row_of_leaf[s] = r;
   RefineOptions ro;
   ro.passes = 1;
-  const std::size_t accepted = refine(a, t, row_of_leaf, B62(), ro);
+  const std::size_t accepted = refine(a, t, B62(), ro);
   // Progressive output is already PSP-locally-optimal at the root edge, so
   // few acceptances are expected — just require the call to be well-formed.
   EXPECT_LE(accepted, 2 * seqs.size());
@@ -210,21 +225,18 @@ TEST(Refine, TwoRowAlignmentIsStable) {
   const GuideTree t = tree_for(seqs);
   Alignment a = progressive_align(seqs, t, B62());
   const std::string before = a.row_text(0) + "/" + a.row_text(1);
-  std::vector<std::size_t> row_of_leaf{0, 1};
-  if (a.row(0).id != seqs[0].id()) row_of_leaf = {1, 0};
   RefineOptions ro;
   ro.passes = 3;
-  refine(a, t, row_of_leaf, B62(), ro);
+  refine(a, t, B62(), ro);
   // A 2-row alignment re-aligned by the same objective must stay optimal.
   EXPECT_EQ(a.row_text(0) + "/" + a.row_text(1), before);
 }
 
-TEST(Refine, BadRowMapThrows) {
+TEST(Refine, LeafCountMismatchThrows) {
   const auto seqs = family(3, 20, 400, 11);
-  const GuideTree t = tree_for(seqs);
-  Alignment a = progressive_align(seqs, t, B62());
-  const std::vector<std::size_t> wrong_size{0, 1};
-  EXPECT_THROW(refine(a, t, wrong_size, B62(), {}), std::invalid_argument);
+  const auto fewer = family(2, 20, 400, 11);
+  Alignment a = progressive_align(seqs, tree_for(seqs), B62());
+  EXPECT_THROW(refine(a, tree_for(fewer), B62(), {}), std::invalid_argument);
 }
 
 }  // namespace
