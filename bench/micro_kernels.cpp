@@ -125,27 +125,35 @@ void set_cells_per_second(benchmark::State& state, std::size_t cells_per_iter) {
       benchmark::Counter::kIsRate);
 }
 
+/// Gap penalties with a half-integer open: the integer gate rejects them,
+/// so every pass of the promotion ladder runs the float kernel. The float
+/// benches pick their tier through this input, like any caller.
+bio::GapPenalties float_tier_gaps(bio::GapPenalties g) {
+  return {g.open + 0.5F, g.extend};
+}
+
 void BM_GlobalAlign(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        align::engine::global_align(seqs[0].codes(), seqs[1].codes(), m, {}));
+        align::engine::AlignBatch(seqs[0].codes(), m, {})
+            .align(seqs[1].codes()));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_GlobalAlign)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
-// The engine's float anti-diagonal score pass. Pinned to the FLOAT tier so
-// these rows stay comparable with the pre-integer baselines; the striped
-// integer tiers have their own benches below.
+// The engine's float anti-diagonal score pass, reached through
+// float_tier_gaps so these rows stay comparable with the pre-integer
+// baselines; the striped integer tiers have their own benches below.
 void BM_EngineGlobalScoreVector(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
-    benchmark::DoNotOptimize(align::engine::global_score(
-        seqs[0].codes(), seqs[1].codes(), m, {}, nullptr,
-        align::engine::ScoreTier::kFloat));
+    benchmark::DoNotOptimize(
+        align::engine::ScoreBatch(seqs[0].codes(), m, float_tier_gaps({}))
+            .score(seqs[1].codes()));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
 BENCHMARK(BM_EngineGlobalScoreVector)->Arg(400)->Arg(1000);
@@ -153,11 +161,12 @@ BENCHMARK(BM_EngineGlobalScoreVector)->Arg(400)->Arg(1000);
 // ---- striped integer score tiers ----------------------------------------------
 //
 // ScoreBatch reuses one striped query profile across counterparts, exactly
-// as the distance-matrix drivers do. The int8 bench runs in the tier's
-// honest regime: pairs short enough for the int8 rails (the boundary gap
-// run bounds the viable length to ~100 residues) and divergent enough not
-// to saturate the ceiling — i.e. distance-matrix pairs. A "promotions"
-// counter reports if the regime drifts into saturation.
+// as the distance-matrix drivers do. The length picks the tier: the int8
+// bench runs in the tier's honest regime, pairs short enough for the int8
+// rails (the boundary gap run bounds the viable length to ~100 residues)
+// and divergent enough not to saturate the ceiling — i.e. distance-matrix
+// pairs; lengths of 400 and up are past int8's rail and run int16. A
+// "promotions" counter reports if the regime drifts into saturation.
 
 /// ~20% identity mutants of a random protein query: scores stay inside the
 /// int8 rails while the pair remains alignment-worthy.
@@ -176,32 +185,36 @@ std::vector<std::vector<std::uint8_t>> mutant_pairs(std::size_t len,
   return others;
 }
 
-void engine_striped_bench(benchmark::State& state, std::size_t len,
-                          align::engine::ScoreTier tier) {
+/// Which tiers the input reached: the per-tier benches get their tier from
+/// the pair length, and these counters show it.
+void set_ladder_counters(benchmark::State& state,
+                         const align::engine::LadderStats& st) {
+  state.counters["int8_runs"] = static_cast<double>(st.int8_runs);
+  state.counters["int16_runs"] = static_cast<double>(st.int16_runs);
+  state.counters["promotions"] = static_cast<double>(st.promotions);
+}
+
+void engine_striped_bench(benchmark::State& state, std::size_t len) {
   std::vector<std::uint8_t> query;
   const auto others = mutant_pairs(len, 16, 99, query);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::ScoreBatch batch(query, m, gaps, tier);
+  align::engine::ScoreBatch batch(query, m, gaps);
   for (auto _ : state)
     for (const auto& o : others) benchmark::DoNotOptimize(batch.score(o));
   set_cells_per_second(state, others.size() * len * len);
-  state.counters["promotions"] =
-      static_cast<double>(batch.stats().promotions);
+  set_ladder_counters(state, batch.stats());
 }
 void BM_EngineScoreStripedInt8(benchmark::State& state) {
-  engine_striped_bench(state, static_cast<std::size_t>(state.range(0)),
-                       align::engine::ScoreTier::kInt8);
+  engine_striped_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EngineScoreStripedInt8)->Arg(94);
 void BM_EngineScoreStripedInt16(benchmark::State& state) {
-  engine_striped_bench(state, static_cast<std::size_t>(state.range(0)),
-                       align::engine::ScoreTier::kInt16);
+  engine_striped_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EngineScoreStripedInt16)->Arg(400)->Arg(1000);
 void BM_EngineScoreBatchAuto(benchmark::State& state) {
-  engine_striped_bench(state, static_cast<std::size_t>(state.range(0)),
-                       align::engine::ScoreTier::kAuto);
+  engine_striped_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EngineScoreBatchAuto)->Arg(400);
 
@@ -216,22 +229,22 @@ std::size_t pair_cells(std::span<const bio::Sequence> seqs) {
 }
 
 void distance_matrix_score_bench(benchmark::State& state,
-                                 align::engine::ScoreTier tier) {
+                                 bio::GapPenalties gaps) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 300);
   const auto& m = bio::SubstitutionMatrix::blosum62();
-  align::ScoreDistanceOptions opt;
-  opt.first_tier = tier;
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        align::score_distance_matrix(seqs, m, m.default_gaps(), opt));
+    benchmark::DoNotOptimize(align::score_distance_matrix(seqs, m, gaps));
   set_cells_per_second(state, pair_cells(seqs));
 }
 void BM_DistanceMatrixScore(benchmark::State& state) {
-  distance_matrix_score_bench(state, align::engine::ScoreTier::kAuto);
+  distance_matrix_score_bench(
+      state, bio::SubstitutionMatrix::blosum62().default_gaps());
 }
 BENCHMARK(BM_DistanceMatrixScore)->Arg(24);
 void BM_DistanceMatrixScoreFloat(benchmark::State& state) {
-  distance_matrix_score_bench(state, align::engine::ScoreTier::kFloat);
+  distance_matrix_score_bench(
+      state,
+      float_tier_gaps(bio::SubstitutionMatrix::blosum62().default_gaps()));
 }
 BENCHMARK(BM_DistanceMatrixScoreFloat)->Arg(24);
 
@@ -247,11 +260,11 @@ BENCHMARK(BM_DistanceMatrixKimura)->Arg(12);
 
 // ---- ALIGNED (identity/Kimura) distance matrix: tier comparison ---------------
 //
-// The end-to-end acceptance pair of the integer-traceback PR: the same
-// full-alignment distance pass once through the tier ladder (striped
-// int8/int16 traceback + batched int8 pair lanes) and once pinned to
-// kFloat — the pre-integer-traceback behavior. The short-sequence variant
-// sits in the inter-pair batch kernel's regime.
+// The same full-alignment distance pass once through the tier ladder
+// (striped int8/int16 traceback + batched int8 pair lanes) and once with
+// float_tier_gaps, which routes every pair to the float kernel — the
+// pre-integer-traceback behavior. The short-sequence variant sits in the
+// inter-pair batch kernel's regime.
 
 /// Divergent family (~20-25% pairwise identity) of short sequences: the
 /// honest regime of the int8 tiers — distance-matrix pairs dissimilar
@@ -276,56 +289,57 @@ std::vector<bio::Sequence> divergent_family(std::size_t n, std::size_t len,
 
 void distance_matrix_aligned_bench(benchmark::State& state,
                                    std::span<const bio::Sequence> seqs,
-                                   align::engine::ScoreTier tier) {
+                                   bool float_tier) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
+  const bio::GapPenalties gaps = float_tier
+                                     ? float_tier_gaps(m.default_gaps())
+                                     : m.default_gaps();
   align::PairDistanceOptions opt;
-  opt.first_tier = tier;
   align::PairDistanceStats stats;
   opt.stats = &stats;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        align::alignment_distance_matrix(seqs, m, m.default_gaps(), opt));
+        align::alignment_distance_matrix(seqs, m, gaps, opt));
   set_cells_per_second(state, pair_cells(seqs));
   state.counters["batched_int8"] = static_cast<double>(stats.batched_int8);
+  state.counters["batch_retries"] = static_cast<double>(stats.batch_retries);
   state.counters["int8_runs"] = static_cast<double>(stats.ladder.int8_runs);
   state.counters["int16_runs"] = static_cast<double>(stats.ladder.int16_runs);
   state.counters["float_runs"] = static_cast<double>(stats.ladder.float_runs);
 }
 void BM_DistanceMatrixAligned(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 200);
-  distance_matrix_aligned_bench(state, seqs, align::engine::ScoreTier::kAuto);
+  distance_matrix_aligned_bench(state, seqs, false);
 }
 BENCHMARK(BM_DistanceMatrixAligned)->Arg(16);
 void BM_DistanceMatrixAlignedFloat(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 200);
-  distance_matrix_aligned_bench(state, seqs,
-                                align::engine::ScoreTier::kFloat);
+  distance_matrix_aligned_bench(state, seqs, true);
 }
 BENCHMARK(BM_DistanceMatrixAlignedFloat)->Arg(16);
 void BM_DistanceMatrixAlignedShort(benchmark::State& state) {
   const auto seqs =
       divergent_family(static_cast<std::size_t>(state.range(0)), 80, 11);
-  distance_matrix_aligned_bench(state, seqs, align::engine::ScoreTier::kAuto);
+  distance_matrix_aligned_bench(state, seqs, false);
 }
 BENCHMARK(BM_DistanceMatrixAlignedShort)->Arg(32);
 void BM_DistanceMatrixAlignedShortFloat(benchmark::State& state) {
   const auto seqs =
       divergent_family(static_cast<std::size_t>(state.range(0)), 80, 11);
-  distance_matrix_aligned_bench(state, seqs,
-                                align::engine::ScoreTier::kFloat);
+  distance_matrix_aligned_bench(state, seqs, true);
 }
 BENCHMARK(BM_DistanceMatrixAlignedShortFloat)->Arg(32);
 
-// Pinned to the float tier so these rows keep measuring the float
-// checkpointed kernel (comparable with the pre-integer baselines); the
-// striped traceback tiers have their own benches below.
+// float_tier_gaps keeps these rows on the float checkpointed kernel
+// (comparable with the pre-integer baselines); the striped traceback tiers
+// have their own benches below.
 void BM_EngineGlobalAlignVector(benchmark::State& state) {
   const auto seqs = seqs_cache(2, static_cast<std::size_t>(state.range(0)));
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (auto _ : state)
-    benchmark::DoNotOptimize(align::engine::global_align(
-        seqs[0].codes(), seqs[1].codes(), m, {},
-        align::engine::ScoreTier::kFloat));
+    benchmark::DoNotOptimize(
+        align::engine::AlignBatch(seqs[0].codes(), m, float_tier_gaps({}))
+            .align(seqs[1].codes()));
   set_cells_per_second(state, seqs[0].codes().size() * seqs[1].codes().size());
 }
 BENCHMARK(BM_EngineGlobalAlignVector)->Arg(400)->Arg(1000);
@@ -337,27 +351,23 @@ BENCHMARK(BM_EngineGlobalAlignVector)->Arg(400)->Arg(1000);
 // workload as the score benches (divergent mutants inside the rails); the
 // "promotions" counter reports regime drift.
 
-void engine_align_striped_bench(benchmark::State& state, std::size_t len,
-                                align::engine::ScoreTier tier) {
+void engine_align_striped_bench(benchmark::State& state, std::size_t len) {
   std::vector<std::uint8_t> query;
   const auto others = mutant_pairs(len, 16, 99, query);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const bio::GapPenalties gaps{10.0F, 1.0F};
-  align::engine::AlignBatch batch(query, m, gaps, tier);
+  align::engine::AlignBatch batch(query, m, gaps);
   for (auto _ : state)
     for (const auto& o : others) benchmark::DoNotOptimize(batch.align(o));
   set_cells_per_second(state, others.size() * len * len);
-  state.counters["promotions"] =
-      static_cast<double>(batch.stats().promotions);
+  set_ladder_counters(state, batch.stats());
 }
 void BM_EngineAlignStripedInt8(benchmark::State& state) {
-  engine_align_striped_bench(state, static_cast<std::size_t>(state.range(0)),
-                             align::engine::ScoreTier::kInt8);
+  engine_align_striped_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EngineAlignStripedInt8)->Arg(94);
 void BM_EngineAlignStripedInt16(benchmark::State& state) {
-  engine_align_striped_bench(state, static_cast<std::size_t>(state.range(0)),
-                             align::engine::ScoreTier::kInt16);
+  engine_align_striped_bench(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EngineAlignStripedInt16)->Arg(400)->Arg(1000);
 

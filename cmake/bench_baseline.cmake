@@ -8,6 +8,11 @@
 # produced the numbers + configure-preset name) so cross-machine comparisons
 # are at least flagged: bench_compare prints both contexts next to any
 # regression warning.
+#
+# micro_kernels runs 3 repetitions per kernel and reports aggregates only;
+# each kernel's summary entry is its MEDIAN repetition, filed under the
+# kernel's plain name, so one noisy sample cannot set (or trip) the
+# bench_compare tripwire.
 
 if(NOT MICRO_KERNELS OR NOT FIG5_SPEEDUP OR NOT OUT_JSON)
   message(FATAL_ERROR
@@ -22,6 +27,8 @@ execute_process(
   COMMAND "${MICRO_KERNELS}"
           --benchmark_out=${micro_json} --benchmark_out_format=json
           --benchmark_min_time=0.05
+          --benchmark_repetitions=3
+          --benchmark_report_aggregates_only=true
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE micro_out
   ERROR_VARIABLE micro_err)
@@ -61,6 +68,11 @@ endforeach()
 list(JOIN fig5_entries ",\n      " fig5_array)
 
 file(READ "${micro_json}" micro_content)
+# The cv aggregate of a counter that is 0 in every repetition is 0/0, which
+# google-benchmark writes as a bare NaN — not JSON. Store it as null so
+# bench_compare (and any JSON reader) can parse the file.
+string(REGEX REPLACE ": -?(NaN|nan|inf|Infinity)([,\n])" ": null\\2"
+       micro_content "${micro_content}")
 string(TIMESTAMP now UTC)
 
 cmake_host_system_information(RESULT host_cores QUERY NUMBER_OF_LOGICAL_CORES)
@@ -68,18 +80,18 @@ if(NOT PRESET_NAME)
   set(PRESET_NAME "none")
 endif()
 
-# Pull every benchmark's cells_per_second counter (added by the alignment
-# engine benches) into a flat summary so perf PRs can diff kernel throughput
-# without walking the full google-benchmark JSON.
+# Pull every benchmark's median cells_per_second counter (added by the
+# alignment engine benches) into a flat summary so perf PRs can diff kernel
+# throughput without walking the full google-benchmark JSON. The median
+# aggregate's run_name is the kernel's plain name (no "_median" suffix).
 # The name class admits ':' and '.' for suffixed benchmark names like
 # BM_ProgressiveAlign/4/real_time or future threads:N arg labels.
 set(kernel_entries "")
-string(REGEX MATCHALL
-  "\"name\": \"([A-Za-z0-9_/:.]+)\",[^}]*\"cells_per_second\": ([0-9.e+-]+)"
-  kernel_lines "${micro_content}")
+set(median_entry_re
+  "\"run_name\": \"([A-Za-z0-9_/:.]+)\",[^}]*\"aggregate_name\": \"median\",[^}]*\"cells_per_second\": ([0-9.e+-]+)")
+string(REGEX MATCHALL "${median_entry_re}" kernel_lines "${micro_content}")
 foreach(line IN LISTS kernel_lines)
-  string(REGEX REPLACE
-    "\"name\": \"([A-Za-z0-9_/:.]+)\",[^}]*\"cells_per_second\": ([0-9.e+-]+)"
+  string(REGEX REPLACE "${median_entry_re}"
     "{\"name\": \"\\1\", \"cells_per_second\": \\2}"
     entry "${line}")
   list(APPEND kernel_entries "${entry}")

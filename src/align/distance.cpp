@@ -45,14 +45,6 @@ double kimura_distance(double fractional_identity) {
   return -std::log(arg);
 }
 
-double alignment_distance(std::span<const std::uint8_t> a,
-                          std::span<const std::uint8_t> b,
-                          const bio::SubstitutionMatrix& matrix,
-                          bio::GapPenalties gaps) {
-  const PairwiseAlignment aln = engine::global_align(a, b, matrix, gaps);
-  return kimura_distance(fractional_identity(a, b, aln.ops));
-}
-
 // ---------------------------------------------------------------------------
 // Batched drivers
 // ---------------------------------------------------------------------------
@@ -190,10 +182,10 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
         ++stats.batched_int8;
         block[p].global = std::move(outs[g]);
       } else {
-        // The lane saturated an int8 rail: retake the ladder one tier up.
+        // The lane saturated an int8 rail: retake the pair through the
+        // per-pair promotion ladder.
         ++stats.batch_retries;
-        engine::AlignBatch batch(group[g].a, matrix, gaps,
-                                 engine::ScoreTier::kInt16);
+        engine::AlignBatch batch(group[g].a, matrix, gaps);
         block[p].global = batch.align(group[g].b);
         stats.ladder += batch.stats();
       }
@@ -213,8 +205,8 @@ void run_pair_task(const PairTask& task, std::span<const bio::Sequence> seqs,
   const std::size_t i = task.row;
   std::unique_ptr<engine::AlignBatch> batch;
   if (options.band == 0)
-    batch = std::make_unique<engine::AlignBatch>(
-        seqs[i].codes(), matrix, gaps, options.first_tier);
+    batch = std::make_unique<engine::AlignBatch>(seqs[i].codes(), matrix,
+                                                 gaps);
   for (const std::size_t p : task.slots) {
     const auto [pi, j] = pair_from_index(base + p);
     if (batch)
@@ -246,7 +238,7 @@ util::SymmetricMatrix<double> alignment_distance_matrix(
   constexpr std::size_t kBlock = 256;
   std::size_t batch_cap = 0;
   std::size_t batch_lanes = 1;
-  if (options.band == 0 && options.first_tier <= engine::ScoreTier::kInt8) {
+  if (options.band == 0) {
     const engine::PairBatch probe(matrix, gaps);
     batch_cap = probe.max_len();
     batch_lanes = probe.lanes();
@@ -299,8 +291,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
       n,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps,
-                                   options.first_tier);
+          engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps);
           self[i] = batch.score(seqs[i].codes());
         }
       },
@@ -317,8 +308,7 @@ util::SymmetricMatrix<double> score_distance_matrix(
         for (std::size_t r = begin; r < end; ++r) {
           const std::size_t i = (r % 2 == 0) ? r / 2 : n - 1 - r / 2;
           if (i == 0) continue;
-          engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps,
-                                   options.first_tier);
+          engine::ScoreBatch batch(seqs[i].codes(), matrix, gaps);
           for (std::size_t j = 0; j < i; ++j) {
             const double denom = std::min(self[i], self[j]);
             if (denom <= 0.0) {

@@ -34,13 +34,6 @@ inline constexpr double kMaxGuideTreeDistance = 5.0;
 /// tests/align_traceback_test.cpp).
 [[nodiscard]] double kimura_distance(double fractional_identity);
 
-/// Convenience: globally aligns and returns the Kimura distance. This is
-/// the O(L^2) "accurate" distance of the CLUSTALW-style baseline.
-[[nodiscard]] double alignment_distance(std::span<const std::uint8_t> a,
-                                        std::span<const std::uint8_t> b,
-                                        const bio::SubstitutionMatrix& matrix,
-                                        bio::GapPenalties gaps);
-
 // ---------------------------------------------------------------------------
 // Batched distance-matrix drivers
 //
@@ -80,7 +73,8 @@ struct PairDistanceStats {
   std::size_t pairs = 0;          ///< total pairs aligned
   std::size_t batched_int8 = 0;   ///< inter-pair int8 lanes (engine::PairBatch)
   std::size_t batch_retries = 0;  ///< batched lanes that saturated a rail
-  engine::AlignBatch::Stats ladder;  ///< per-pair tier-ladder kernel runs
+                                  ///< and were re-run through the ladder
+  engine::LadderStats ladder;     ///< per-pair tier-ladder kernel runs
 
   PairDistanceStats& operator+=(const PairDistanceStats& o);
 };
@@ -94,12 +88,6 @@ struct PairDistanceOptions {
   /// Also compute one local (Smith–Waterman) alignment per pair — the
   /// T-Coffee primary library wants both.
   bool with_local = false;
-  /// Where the per-pair full-alignment tier ladder starts (kAuto = batched
-  /// int8 lanes for short pairs, striped int8/int16 traceback otherwise,
-  /// float on promotion; kFloat pins the pre-integer-traceback behavior).
-  /// Only band == 0 passes use the integer tiers — banded alignments keep
-  /// the float banded kernel. Results are identical for every value.
-  engine::ScoreTier first_tier = engine::ScoreTier::kAuto;
   /// When non-null, receives the pass's per-tier pair counts.
   PairDistanceStats* stats = nullptr;
 };
@@ -119,6 +107,13 @@ using PairVisitor = std::function<void(std::size_t i, std::size_t j,
 /// bit-identical to the serial nested loops for every thread count. When a
 /// visitor is given, pairs are processed in bounded blocks so per-pair
 /// alignments are buffered only briefly.
+///
+/// The input picks each pair's route: with band == 0 and integral
+/// penalties, pairs inside the int8 boundary rail run as inter-pair int8
+/// lanes (engine::PairBatch) and a lane that saturates is re-run through
+/// the per-pair ladder; every other pair runs engine::AlignBatch's
+/// int8 -> int16 -> float ladder. Banded passes keep the float banded
+/// kernel, whose band defines the result.
 [[nodiscard]] util::SymmetricMatrix<double> alignment_distance_matrix(
     std::span<const bio::Sequence> seqs, const bio::SubstitutionMatrix& matrix,
     bio::GapPenalties gaps, const PairDistanceOptions& options = {},
@@ -128,8 +123,6 @@ struct ScoreDistanceOptions {
   /// util::parallel_for width over matrix rows (1 = serial; deterministic
   /// for any value).
   unsigned threads = 1;
-  /// Where the per-pair tier ladder starts (kAuto = int8 when viable).
-  engine::ScoreTier first_tier = engine::ScoreTier::kAuto;
 };
 
 /// Upper clamp of score_distance_matrix distances — the shared guide-tree

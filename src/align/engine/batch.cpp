@@ -9,67 +9,7 @@
 
 namespace salign::align::engine {
 
-/// Tier profiles and ladder state, kept out of batch.hpp so the striped
-/// kernel types stay internal to the engine.
-struct ScoreBatch::Impl {
-  std::vector<std::uint8_t> query;
-  const bio::SubstitutionMatrix* matrix = nullptr;
-  bio::GapPenalties gaps;
-  ScoreTier first_tier = ScoreTier::kAuto;
-  detail::IntGate gate;
-  Stats stats;
-
-  detail::StripedProfile<VecI8> p8;
-  detail::StripedProfile<VecI16> p16;
-  bool p16_built = false;
-  detail::StripedWorkspace<VecI8> ws8;
-  detail::StripedWorkspace<VecI16> ws16;
-  std::size_t float_ws = 0;
-
-  void build() {
-    if (first_tier == ScoreTier::kFloat) return;  // gate never consulted
-    gate = detail::scan_int_gate(*matrix, gaps);
-    if (first_tier == ScoreTier::kAuto || first_tier == ScoreTier::kInt8)
-      p8 = detail::StripedProfile<VecI8>(query, *matrix, gate);
-  }
-
-  float score(std::span<const std::uint8_t> other) {
-    if (query.empty() || other.empty())
-      return detail::empty_edge_align(query.size(), other.size(), gaps).score;
-    float s = 0.0F;
-    if (first_tier <= ScoreTier::kInt8 && p8.viable() &&
-        p8.viable_for(other.size())) {
-      ++stats.int8_runs;
-      if (detail::striped_score(p8, other, ws8, &s)) return s;
-      ++stats.promotions;
-    }
-    if (first_tier <= ScoreTier::kInt16) {
-      if (!p16_built) {
-        p16 = detail::StripedProfile<VecI16>(query, *matrix, gate);
-        p16_built = true;
-      }
-      if (p16.viable() && p16.viable_for(other.size())) {
-        ++stats.int16_runs;
-        if (detail::striped_score(p16, other, ws16, &s)) return s;
-        ++stats.promotions;
-      }
-    }
-    ++stats.float_runs;
-    return detail::global_score_impl(query, other, *matrix, gaps, 0, false,
-                                     &float_ws);
-  }
-
-  [[nodiscard]] std::size_t bytes() const {
-    return p8.bytes() + p16.bytes() + ws8.bytes() + ws16.bytes() + float_ws +
-           query.capacity();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// AlignBatch: full alignments through the same ladder
-// ---------------------------------------------------------------------------
-
-AlignBatch::Stats& AlignBatch::Stats::operator+=(const Stats& o) {
+LadderStats& LadderStats::operator+=(const LadderStats& o) {
   int8_runs += o.int8_runs;
   int16_runs += o.int16_runs;
   float_runs += o.float_runs;
@@ -78,53 +18,57 @@ AlignBatch::Stats& AlignBatch::Stats::operator+=(const Stats& o) {
   return *this;
 }
 
-struct AlignBatch::Impl {
+namespace detail {
+
+/// The one promotion ladder behind ScoreBatch and AlignBatch: the query's
+/// int8 profile built up front, the int16 profile on first need, and one
+/// reusable DP workspace per integer tier (`Workspace` is the score-only or
+/// the traceback kind). Kept out of batch.hpp so the striped kernel types
+/// stay internal to the engine.
+template <template <typename> class Workspace>
+struct Ladder {
   std::vector<std::uint8_t> query;
-  const bio::SubstitutionMatrix* matrix = nullptr;
+  const bio::SubstitutionMatrix* matrix;
   bio::GapPenalties gaps;
-  ScoreTier first_tier = ScoreTier::kAuto;
-  detail::IntGate gate;
-  Stats stats;
+  IntGate gate;
+  LadderStats stats;
 
-  detail::StripedProfile<VecI8> p8;
-  detail::StripedProfile<VecI16> p16;
+  StripedProfile<VecI8> p8;
+  StripedProfile<VecI16> p16;
   bool p16_built = false;
-  detail::StripedAlignWorkspace<VecI8> ws8;
-  detail::StripedAlignWorkspace<VecI16> ws16;
+  Workspace<VecI8> ws8;
+  Workspace<VecI16> ws16;
 
-  void build() {
-    if (first_tier == ScoreTier::kFloat) return;  // gate never consulted
-    gate = detail::scan_int_gate(*matrix, gaps);
-    if (first_tier == ScoreTier::kAuto || first_tier == ScoreTier::kInt8)
-      p8 = detail::StripedProfile<VecI8>(query, *matrix, gate);
-  }
+  Ladder(std::span<const std::uint8_t> q, const bio::SubstitutionMatrix& m,
+         bio::GapPenalties g)
+      : query(q.begin(), q.end()),
+        matrix(&m),
+        gaps(g),
+        gate(scan_int_gate(m, g)),
+        p8(query, m, gate) {}
 
-  PairwiseAlignment align(std::span<const std::uint8_t> other) {
-    if (query.empty() || other.empty())
-      return detail::empty_edge_align(query.size(), other.size(), gaps);
-    PairwiseAlignment out;
-    bool trace = false;
-    if (first_tier <= ScoreTier::kInt8 && p8.viable() &&
-        p8.viable_for(other.size())) {
+  /// Runs `pass(profile, workspace)` on every integer tier viable for a
+  /// counterpart of `other_len` residues, narrowest first, until one
+  /// returns true (exact). False means the caller runs the float tier,
+  /// whose run is already counted.
+  template <typename Pass>
+  bool run_integer_tiers(std::size_t other_len, Pass&& pass) {
+    if (p8.viable() && p8.viable_for(other_len)) {
       ++stats.int8_runs;
-      if (detail::striped_align(p8, other, ws8, &out, &trace)) return out;
+      if (pass(p8, ws8)) return true;
       ++stats.promotions;
-      if (trace) ++stats.trace_promotions;
     }
-    if (first_tier <= ScoreTier::kInt16) {
-      if (!p16_built) {
-        p16 = detail::StripedProfile<VecI16>(query, *matrix, gate);
-        p16_built = true;
-      }
-      if (p16.viable() && p16.viable_for(other.size())) {
-        ++stats.int16_runs;
-        if (detail::striped_align(p16, other, ws16, &out, &trace)) return out;
-        ++stats.promotions;
-        if (trace) ++stats.trace_promotions;
-      }
+    if (!p16_built) {
+      p16 = StripedProfile<VecI16>(query, *matrix, gate);
+      p16_built = true;
+    }
+    if (p16.viable() && p16.viable_for(other_len)) {
+      ++stats.int16_runs;
+      if (pass(p16, ws16)) return true;
+      ++stats.promotions;
     }
     ++stats.float_runs;
-    return detail::global_align_impl(query, other, *matrix, gaps, 0, false);
+    return false;
   }
 
   [[nodiscard]] std::size_t bytes() const {
@@ -133,54 +77,77 @@ struct AlignBatch::Impl {
   }
 };
 
-AlignBatch::AlignBatch(std::span<const std::uint8_t> query,
-                       const bio::SubstitutionMatrix& matrix,
-                       bio::GapPenalties gaps, ScoreTier first_tier)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->query.assign(query.begin(), query.end());
-  impl_->matrix = &matrix;
-  impl_->gaps = gaps;
-  impl_->first_tier = first_tier;
-  impl_->build();
-}
+}  // namespace detail
 
-AlignBatch::~AlignBatch() = default;
-AlignBatch::AlignBatch(AlignBatch&&) noexcept = default;
-AlignBatch& AlignBatch::operator=(AlignBatch&&) noexcept = default;
+struct ScoreBatch::Impl : detail::Ladder<detail::StripedWorkspace> {
+  using Ladder::Ladder;
+  std::size_t float_ws = 0;  ///< the float tier's last per-call workspace
+};
 
-PairwiseAlignment AlignBatch::align(std::span<const std::uint8_t> other) {
-  return impl_->align(other);
-}
-
-std::size_t AlignBatch::query_length() const { return impl_->query.size(); }
-
-const AlignBatch::Stats& AlignBatch::stats() const { return impl_->stats; }
-
-std::size_t AlignBatch::workspace_bytes() const { return impl_->bytes(); }
+struct AlignBatch::Impl : detail::Ladder<detail::StripedAlignWorkspace> {
+  using Ladder::Ladder;
+};
 
 ScoreBatch::ScoreBatch(std::span<const std::uint8_t> query,
                        const bio::SubstitutionMatrix& matrix,
-                       bio::GapPenalties gaps, ScoreTier first_tier)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->query.assign(query.begin(), query.end());
-  impl_->matrix = &matrix;
-  impl_->gaps = gaps;
-  impl_->first_tier = first_tier;
-  impl_->build();
-}
+                       bio::GapPenalties gaps)
+    : impl_(std::make_unique<Impl>(query, matrix, gaps)) {}
 
 ScoreBatch::~ScoreBatch() = default;
 ScoreBatch::ScoreBatch(ScoreBatch&&) noexcept = default;
 ScoreBatch& ScoreBatch::operator=(ScoreBatch&&) noexcept = default;
 
 float ScoreBatch::score(std::span<const std::uint8_t> other) {
-  return impl_->score(other);
+  Impl& l = *impl_;
+  if (l.query.empty() || other.empty())
+    return detail::empty_edge_align(l.query.size(), other.size(), l.gaps)
+        .score;
+  float s = 0.0F;
+  if (l.run_integer_tiers(other.size(), [&](const auto& p, auto& ws) {
+        return detail::striped_score(p, other, ws, &s);
+      }))
+    return s;
+  return detail::global_score_impl(l.query, other, *l.matrix, l.gaps, 0,
+                                   false, &l.float_ws);
 }
 
 std::size_t ScoreBatch::query_length() const { return impl_->query.size(); }
 
-const ScoreBatch::Stats& ScoreBatch::stats() const { return impl_->stats; }
+const LadderStats& ScoreBatch::stats() const { return impl_->stats; }
 
-std::size_t ScoreBatch::workspace_bytes() const { return impl_->bytes(); }
+std::size_t ScoreBatch::workspace_bytes() const {
+  return impl_->bytes() + impl_->float_ws;
+}
+
+AlignBatch::AlignBatch(std::span<const std::uint8_t> query,
+                       const bio::SubstitutionMatrix& matrix,
+                       bio::GapPenalties gaps)
+    : impl_(std::make_unique<Impl>(query, matrix, gaps)) {}
+
+AlignBatch::~AlignBatch() = default;
+AlignBatch::AlignBatch(AlignBatch&&) noexcept = default;
+AlignBatch& AlignBatch::operator=(AlignBatch&&) noexcept = default;
+
+PairwiseAlignment AlignBatch::align(std::span<const std::uint8_t> other) {
+  Impl& l = *impl_;
+  if (l.query.empty() || other.empty())
+    return detail::empty_edge_align(l.query.size(), other.size(), l.gaps);
+  PairwiseAlignment out;
+  if (l.run_integer_tiers(other.size(), [&](const auto& p, auto& ws) {
+        bool trace = false;
+        if (detail::striped_align(p, other, ws, &out, &trace)) return true;
+        if (trace) ++l.stats.trace_promotions;
+        return false;
+      }))
+    return out;
+  return detail::global_align_impl(l.query, other, *l.matrix, l.gaps, 0,
+                                   false);
+}
+
+std::size_t AlignBatch::query_length() const { return impl_->query.size(); }
+
+const LadderStats& AlignBatch::stats() const { return impl_->stats; }
+
+std::size_t AlignBatch::workspace_bytes() const { return impl_->bytes(); }
 
 }  // namespace salign::align::engine

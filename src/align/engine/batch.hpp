@@ -9,29 +9,43 @@
 
 namespace salign::align::engine {
 
+/// Kernel passes of one ScoreBatch or AlignBatch promotion ladder.
+///
+/// The ladder is the only way into the engine's tiers, and the input alone
+/// picks where a pair lands: striped int8 when the (matrix, gaps) pair is
+/// integral (open >= extend >= 1) and the counterpart is inside int8's
+/// boundary rail (~100 residues at BLOSUM62 defaults), int16 past that,
+/// float for non-integral scores or penalties. A tier whose run touches a
+/// saturation rail retries one tier wider — int8 -> int16 -> float — so
+/// every result is bit-identical to engine::reference::global_align.
+struct LadderStats {
+  std::size_t int8_runs = 0;   ///< int8 kernel passes (incl. saturated)
+  std::size_t int16_runs = 0;  ///< int16 kernel passes (incl. saturated)
+  std::size_t float_runs = 0;  ///< float kernel passes
+  std::size_t promotions = 0;  ///< runs that saturated and retried wider
+  /// AlignBatch only: promotions raised during the traceback (a recomputed
+  /// block found a floor-clamped E/F cell) rather than by the forward
+  /// pass's H rails.
+  std::size_t trace_promotions = 0;
+
+  LadderStats& operator+=(const LadderStats& o);
+};
+
 /// One query sequence profiled once (striped int8 + int16 tables plus the
 /// float fallback), scored against many counterparts — the unit of work of
 /// a distance-matrix row. Building the profile is O(alphabet * m); each
 /// score() is then a pure kernel pass, so the profile cost amortizes over
-/// the whole row instead of being paid per pair as in global_score().
+/// the whole row. A one-off score is ScoreBatch(a, ...).score(b).
 ///
-/// Scores are bit-identical to engine::reference::global_align on every
-/// input: each call runs the adaptive tier ladder (see ScoreTier) and
-/// promotes on saturation. Profiles and DP scratch are built lazily per
-/// tier and reused across calls, which also makes score() NOT thread-safe —
-/// use one ScoreBatch per thread (the align/distance.cpp drivers do).
+/// Each call runs the promotion ladder (see LadderStats); scores are
+/// bit-identical to engine::reference::global_align on every input.
+/// Profiles and DP scratch are built lazily per tier and reused across
+/// calls, which also makes score() NOT thread-safe — use one ScoreBatch per
+/// thread (the align/distance.cpp drivers do).
 class ScoreBatch {
  public:
-  struct Stats {
-    std::size_t int8_runs = 0;    ///< int8 kernel passes (incl. saturated)
-    std::size_t int16_runs = 0;   ///< int16 kernel passes (incl. saturated)
-    std::size_t float_runs = 0;   ///< float kernel passes
-    std::size_t promotions = 0;   ///< runs that saturated and retried wider
-  };
-
   ScoreBatch(std::span<const std::uint8_t> query,
-             const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-             ScoreTier first_tier = ScoreTier::kAuto);
+             const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps);
   ~ScoreBatch();
   ScoreBatch(ScoreBatch&&) noexcept;
   ScoreBatch& operator=(ScoreBatch&&) noexcept;
@@ -43,7 +57,7 @@ class ScoreBatch {
   [[nodiscard]] float score(std::span<const std::uint8_t> other);
 
   [[nodiscard]] std::size_t query_length() const;
-  [[nodiscard]] const Stats& stats() const;
+  [[nodiscard]] const LadderStats& stats() const;
 
   /// Bytes currently held: striped profiles, striped DP columns, and the
   /// float tier's most recent per-call workspace. Linear in the query
@@ -62,32 +76,21 @@ class ScoreBatch {
 /// distance-matrix row. The full-alignment sibling of ScoreBatch: each
 /// align() runs the striped integer tiers with the column-checkpointed
 /// integer traceback (striped_align) through the same promotion ladder,
-/// falling back to the float engine's checkpointed kernel.
+/// falling back to the float engine's checkpointed kernel. No O(m·n)
+/// traceback matrix is materialized on any tier. A one-off alignment is
+/// AlignBatch(a, ...).align(b).
 ///
 /// Results (score, ops, tie-breaks) are bit-identical to
 /// engine::reference::global_align on every input. The alignment tiers
 /// promote on a stricter rail than the score tiers — the traceback reads
 /// E/F cell values directly, so a floor-clamped E/F promotes even when the
-/// score would have been exact (see striped.hpp); Stats::trace_promotions
-/// counts those late promotions separately. Like ScoreBatch, align() is NOT
+/// score would have been exact (see striped.hpp); trace_promotions counts
+/// those late promotions separately. Like ScoreBatch, align() is NOT
 /// thread-safe — one AlignBatch per thread.
 class AlignBatch {
  public:
-  struct Stats {
-    std::size_t int8_runs = 0;   ///< int8 kernel passes (incl. saturated)
-    std::size_t int16_runs = 0;  ///< int16 kernel passes (incl. saturated)
-    std::size_t float_runs = 0;  ///< float kernel passes
-    std::size_t promotions = 0;  ///< runs that saturated and retried wider
-    /// Promotions raised during the traceback (a recomputed block found a
-    /// floor-clamped E/F cell) rather than by the forward pass's H rails.
-    std::size_t trace_promotions = 0;
-
-    Stats& operator+=(const Stats& o);
-  };
-
   AlignBatch(std::span<const std::uint8_t> query,
-             const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps,
-             ScoreTier first_tier = ScoreTier::kAuto);
+             const bio::SubstitutionMatrix& matrix, bio::GapPenalties gaps);
   ~AlignBatch();
   AlignBatch(AlignBatch&&) noexcept;
   AlignBatch& operator=(AlignBatch&&) noexcept;
@@ -99,7 +102,7 @@ class AlignBatch {
   [[nodiscard]] PairwiseAlignment align(std::span<const std::uint8_t> other);
 
   [[nodiscard]] std::size_t query_length() const;
-  [[nodiscard]] const Stats& stats() const;
+  [[nodiscard]] const LadderStats& stats() const;
 
   /// Bytes currently held: striped profiles, DP columns, checkpoint and
   /// block stores. O((m + n) * sqrt(n)) — never O(m * n).

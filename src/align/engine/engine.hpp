@@ -22,50 +22,11 @@ inline constexpr float kNegInf = -0.25F * std::numeric_limits<float>::max();
 
 namespace engine {
 
-/// Numeric tier of a score-only pass.
-///
-/// kAuto runs the adaptive promotion ladder: start at the narrowest tier
-/// that is statically viable for the input (integral scores, open >= extend
-/// >= 1, boundary gap runs inside the rails), detect saturation at run time,
-/// and retry one tier wider — int8 -> int16 -> float. Results are
-/// bit-identical to the float reference kernels on EVERY input; forcing a
-/// tier only changes where the ladder starts, never the result (a forced
-/// tier that saturates or is statically non-viable still promotes).
-/// Striped int8 runs VecI8 lanes at a time, int16 half that
-/// (see simd_int.hpp); kFloat is PR 2's anti-diagonal float kernel.
-enum class ScoreTier : std::uint8_t { kAuto = 0, kInt8, kInt16, kFloat };
-
-[[nodiscard]] const char* tier_name(ScoreTier tier);
-
-/// Score-only global (Needleman–Wunsch/Gotoh) alignment through the tier
-/// ladder. Allocates O(m + n) DP workspace plus the striped query profile
-/// (O(alphabet * m) integers) — no traceback state of any kind.
-/// `workspace_bytes`, when non-null, receives the number of bytes of DP
-/// workspace the call allocated, striped profiles included (tests pin the
-/// linear-memory guarantee through it). To score one sequence against many,
-/// build an engine::ScoreBatch (batch.hpp) instead — it amortizes the
-/// profile across counterparts.
-[[nodiscard]] float global_score(std::span<const std::uint8_t> a,
-                                 std::span<const std::uint8_t> b,
-                                 const bio::SubstitutionMatrix& matrix,
-                                 bio::GapPenalties gaps,
-                                 std::size_t* workspace_bytes = nullptr,
-                                 ScoreTier first_tier = ScoreTier::kAuto);
-
-/// Full global alignment with checkpointed traceback, through the same
-/// tier ladder as global_score: striped int8/int16 kernels with the
-/// column-checkpointed integer traceback where the rails allow, the float
-/// anti-diagonal kernel (row checkpoints + block recompute) otherwise. No
-/// O(m·n) traceback matrix is ever materialized on any tier. Results
-/// (score, ops, tie-breaks) are identical to the retained scalar reference
-/// kernel for every `first_tier` value. To align one query against many,
-/// build an engine::AlignBatch (batch.hpp) — it amortizes the striped
-/// profile across counterparts.
-[[nodiscard]] PairwiseAlignment global_align(std::span<const std::uint8_t> a,
-                                             std::span<const std::uint8_t> b,
-                                             const bio::SubstitutionMatrix& matrix,
-                                             bio::GapPenalties gaps,
-                                             ScoreTier first_tier = ScoreTier::kAuto);
+/// Global (Needleman–Wunsch/Gotoh) alignment lives in batch.hpp:
+/// engine::ScoreBatch (score only, O(m + n) workspace) and
+/// engine::AlignBatch (score + checkpointed traceback) profile one query
+/// once and run the int8 -> int16 -> float promotion ladder against each
+/// counterpart. A one-off pair is AlignBatch(a, matrix, gaps).align(b).
 
 /// Banded global alignment: the DP is restricted to a diagonal band of
 /// half-width `band`, widened by the length difference so the (m, n) corner

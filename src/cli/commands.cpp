@@ -16,36 +16,33 @@
 
 namespace salign::cli {
 
-int classify_error(const std::string& command, std::ostream& err) {
-  const auto report = [&](const char* what) -> std::ostream& {
-    return err << "salign " << command << ": " << what << "\n";
-  };
+ErrorClass classify_exception() {
   try {
     throw;  // reclassify the in-flight exception
   } catch (const util::DeadlineExceeded& e) {
-    report(e.what())
-        << "salign " << command
-        << ": checkpoint (if any) is valid; rerun with --resume\n";
-    return kExitDeadline;
+    return {kExitDeadline, e.what(), true};
   } catch (const util::CancelledError& e) {
-    report(e.what());
-    return kExitDeadline;
+    return {kExitDeadline, e.what()};
   } catch (const serve::ResourceError& e) {
-    report(e.what());
-    return kExitResource;
+    return {kExitResource, e.what()};
   } catch (const bio::InvalidInput& e) {
-    report(e.what());
-    return kExitInvalidInput;
+    return {kExitInvalidInput, e.what()};
   } catch (const std::invalid_argument& e) {
-    report(e.what());
-    return kExitInvalidInput;
+    return {kExitInvalidInput, e.what()};
   } catch (const std::exception& e) {
-    report(e.what());
-    return kExitRuntime;
+    return {kExitRuntime, e.what()};
   } catch (...) {
-    report("unknown error");
-    return kExitRuntime;
+    return {kExitRuntime, "unknown error"};
   }
+}
+
+int classify_error(const std::string& command, std::ostream& err) {
+  const ErrorClass c = classify_exception();
+  err << "salign " << command << ": " << c.what << "\n";
+  if (c.resumable)
+    err << "salign " << command
+        << ": checkpoint (if any) is valid; rerun with --resume\n";
+  return c.exit_code;
 }
 
 std::shared_ptr<const msa::MsaAlgorithm> make_aligner(

@@ -35,10 +35,22 @@ enum ExitCode : int {
   kExitResource = 5,
 };
 
-/// Maps the in-flight exception to the taxonomy above, printing
-/// "salign <command>: <what>" to `err`. Call from a catch-all handler
-/// (it rethrows internally); UsageError must be caught before it, where
-/// the command's usage text is available.
+/// Where the in-flight exception lands in the taxonomy above.
+struct ErrorClass {
+  ExitCode exit_code = kExitRuntime;
+  std::string what;
+  bool resumable = false;  ///< a deadline: the checkpoint left is valid
+};
+
+/// Maps the in-flight exception to the taxonomy above without printing
+/// anything: the one exception -> exit-code table, shared by the CLI
+/// commands and the serve daemon's job runner. Call from a catch handler
+/// (it rethrows internally).
+[[nodiscard]] ErrorClass classify_exception();
+
+/// classify_exception, printing "salign <command>: <what>" to `err` and
+/// returning the exit code. Call from a catch-all handler; UsageError must
+/// be caught before it, where the command's usage text is available.
 [[nodiscard]] int classify_error(const std::string& command,
                                  std::ostream& err);
 

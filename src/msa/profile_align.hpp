@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -20,13 +19,6 @@ struct ProfileAlignOptions {
   /// Diagonal band half-width; 0 means full DP. The MAFFT-style aligner
   /// passes FFT-derived bands here.
   std::size_t band = 0;
-  /// Full-traceback cell budget of the scalar profile_dp: DPs with
-  /// (m+1)*(n+1) cells at or below this keep the whole traceback matrix;
-  /// larger ones switch to checkpointed traceback (row checkpoints every
-  /// ~sqrt(m) rows + block recompute). 0 = default (4M cells ≈ 12 MB of
-  /// trace). Results are identical on both paths. align_profiles ignores
-  /// it: its wavefront kernel always checkpoints.
-  std::size_t max_trace_cells = 0;
 };
 
 struct ProfileAlignResult {
@@ -35,8 +27,6 @@ struct ProfileAlignResult {
 };
 
 namespace detail {
-
-inline constexpr std::size_t kDefaultProfileTraceCells = std::size_t{1} << 22;
 
 /// Fills `out[0..len)` with the dense PSP scores of one A column against B
 /// columns [cb_lo, cb_lo + len): sum over the column's nonzero residues of
@@ -106,12 +96,10 @@ struct ProfileDpCell {
   std::uint8_t came_from[3] = {kPdM, kPdM, kPdM};
 };
 
-/// One DP row of the three-state occupancy-scaled Gotoh recurrence, shared
-/// by the full-trace pass, the score-only forward pass and the traceback
-/// block recompute (kTrace selects whether came_from nibbles are stored).
-/// The float operations and tie-break chains are the historical ones — all
-/// paths produce bit-identical rows.
-template <bool kTrace, typename Scorer>
+/// One DP row of the three-state occupancy-scaled Gotoh recurrence, with
+/// each cell's came_from nibbles stored in `trow`. The float operations and
+/// tie-break chains are the historical ones.
+template <typename Scorer>
 inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
                            const Scorer& scorer, std::span<const float> occ_a,
                            std::span<const float> occ_b, float open, float ext,
@@ -132,7 +120,7 @@ inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
       from = kPdY;
     }
     cm[j] = best > kNegInf / 2 ? best + sub : kNegInf;
-    if constexpr (kTrace) trow[j].came_from[kPdM] = from;
+    trow[j].came_from[kPdM] = from;
 
     // Gap in A consuming B's column j-1.
     const float gx_open = open * occ_b[j - 1];
@@ -151,7 +139,7 @@ inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
       cx[j] = via_y;
       from_x = kPdY;
     }
-    if constexpr (kTrace) trow[j].came_from[kPdX] = from_x;
+    trow[j].came_from[kPdX] = from_x;
 
     // Gap in B consuming A's column i-1.
     const float gy_open = open * occ_a[i - 1];
@@ -170,7 +158,7 @@ inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
       cy[j] = via_x;
       from_y = kPdX;
     }
-    if constexpr (kTrace) trow[j].came_from[kPdY] = from_y;
+    trow[j].came_from[kPdY] = from_y;
   }
 }
 
@@ -183,13 +171,11 @@ inline void profile_dp_row(std::size_t i, std::size_t lo, std::size_t hi,
 /// profile is already gappy (standard PSP treatment). Shared by the PSP
 /// aligner and the T-Coffee consistency aligner.
 ///
-/// Memory: small problems keep a full traceback matrix; above
-/// ProfileAlignOptions::max_trace_cells the pass checkpoints every ~sqrt(m)
-/// rows and recomputes one row block at a time during traceback.
-///
-/// T-Coffee's consistency scorer runs this in production; for the PSP
-/// scorer it is the retained oracle of profile_dp_wavefront (see
-/// align_profiles_reference).
+/// Memory: a full (m+1) x (n+1) traceback matrix of 3-byte cells. Its one
+/// production caller, T-Coffee's consistency merge, already holds an
+/// m x n float score matrix, so the trace never changes the order of its
+/// peak memory; for the PSP scorer this is the retained oracle of
+/// profile_dp_wavefront (see align_profiles_reference), which checkpoints.
 template <typename Scorer>
 ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
                               const Scorer& scorer,
@@ -249,47 +235,9 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
     }
   }
 
-  const std::size_t budget =
-      opts.max_trace_cells != 0 ? opts.max_trace_cells
-                                : kDefaultProfileTraceCells;
-  const bool full_trace = (m + 1) * (n + 1) <= budget;
-
-  // Checkpoint state (only allocated on the checkpointed path): every K-th
-  // row of (M, X, Y) plus the accumulated column-0 gap score.
-  //
-  // This mirrors the engine's row-checkpoint + block-recompute traceback
-  // (align/engine/gotoh.cpp) but deliberately does not share code with it:
-  // the engine kernel is built around QueryProfile score rows and constant
-  // gap penalties (vectorizable along anti-diagonals), while this DP calls
-  // an arbitrary scorer and scales gaps by column occupancy, so blocks here
-  // are recomputed row-major with trace nibbles instead of re-deriving
-  // decisions from stored values. The checkpoint interval clamps also
-  // differ on purpose: scorer calls dominate this DP's cell cost, so a
-  // smaller minimum K (16 vs the engine's 32) trades checkpoint memory for
-  // less block recompute.
-  const std::size_t ckpt_k = std::clamp<std::size_t>(
-      static_cast<std::size_t>(
-          std::ceil(std::sqrt(static_cast<double>(m)))),
-      16, 4096);
-  util::Matrix<float> ck_m, ck_x, ck_y;
-  std::vector<float> ck_yborder;
-  util::Matrix<ProfileDpCell> trace;
-  if (full_trace) {
-    trace = util::Matrix<ProfileDpCell>(m + 1, n + 1);
-    for (std::size_t j = 1; j <= j_hi(0); ++j)
-      trace(0, j).came_from[kPdX] = kPdX;
-  } else {
-    const std::size_t rows = m / ckpt_k + 1;
-    ck_m = util::Matrix<float>(rows, n + 1, kNegInf);
-    ck_x = util::Matrix<float>(rows, n + 1, kNegInf);
-    ck_y = util::Matrix<float>(rows, n + 1, kNegInf);
-    ck_yborder.assign(rows, 0.0F);
-    for (std::size_t j = 0; j <= n; ++j) {
-      ck_m(0, j) = prev_m[j];
-      ck_x(0, j) = prev_x[j];
-      ck_y(0, j) = prev_y[j];
-    }
-  }
+  util::Matrix<ProfileDpCell> trace(m + 1, n + 1);
+  for (std::size_t j = 1; j <= j_hi(0); ++j)
+    trace(0, j).came_from[kPdX] = kPdX;
 
   float y_border = 0.0F;
   for (std::size_t i = 1; i <= m; ++i) {
@@ -307,26 +255,11 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
 
     if (const std::size_t js = std::max<std::size_t>(lo, 1); js <= hi)
       scorer_prepare_row(scorer, i - 1, js - 1, hi - 1);
-    if (full_trace) {
-      if (lo == 0) trace(i, 0).came_from[kPdY] = kPdY;
-      profile_dp_row<true>(i, lo, hi, scorer, occ_a, occ_b, open, ext,
-                           prev_m.data(), prev_x.data(), prev_y.data(),
-                           cur_m.data(), cur_x.data(), cur_y.data(),
-                           &trace(i, 0));
-    } else {
-      profile_dp_row<false>(i, lo, hi, scorer, occ_a, occ_b, open, ext,
-                            prev_m.data(), prev_x.data(), prev_y.data(),
-                            cur_m.data(), cur_x.data(), cur_y.data(), nullptr);
-      if (i % ckpt_k == 0) {
-        const std::size_t r = i / ckpt_k;
-        for (std::size_t j = 0; j <= n; ++j) {
-          ck_m(r, j) = cur_m[j];
-          ck_x(r, j) = cur_x[j];
-          ck_y(r, j) = cur_y[j];
-        }
-        ck_yborder[r] = y_border;
-      }
-    }
+    if (lo == 0) trace(i, 0).came_from[kPdY] = kPdY;
+    profile_dp_row(i, lo, hi, scorer, occ_a, occ_b, open, ext,
+                         prev_m.data(), prev_x.data(), prev_y.data(),
+                         cur_m.data(), cur_x.data(), cur_y.data(),
+                         &trace(i, 0));
     std::swap(prev_m, cur_m);
     std::swap(prev_x, cur_x);
     std::swap(prev_y, cur_y);
@@ -344,59 +277,10 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
   }
   out.score = best;
 
-  // Traceback. The checkpointed path recomputes one block of rows
-  // (r0, top] with trace nibbles at a time, seeded from checkpoint row r0.
-  util::Matrix<ProfileDpCell> blk;
-  std::size_t blk_r0 = 0;
-  bool blk_valid = false;
-  auto load_block = [&](std::size_t top, std::size_t jcap) {
-    blk_r0 = (top - 1) / ckpt_k * ckpt_k;
-    const std::size_t r = blk_r0 / ckpt_k;
-    if (blk.rows() == 0) blk = util::Matrix<ProfileDpCell>(ckpt_k + 1, n + 1);
-    for (std::size_t j = 0; j <= jcap; ++j) {
-      prev_m[j] = ck_m(r, j);
-      prev_x[j] = ck_x(r, j);
-      prev_y[j] = ck_y(r, j);
-    }
-    float yb = ck_yborder[r];
-    for (std::size_t i = blk_r0 + 1; i <= top; ++i) {
-      const std::size_t lo = j_lo(i);
-      const std::size_t hi = std::min(j_hi(i), jcap);
-      std::fill(cur_m.begin(), cur_m.begin() + static_cast<std::ptrdiff_t>(
-                                                   jcap + 1), kNegInf);
-      std::fill(cur_x.begin(), cur_x.begin() + static_cast<std::ptrdiff_t>(
-                                                   jcap + 1), kNegInf);
-      std::fill(cur_y.begin(), cur_y.begin() + static_cast<std::ptrdiff_t>(
-                                                   jcap + 1), kNegInf);
-      yb -= (i == 1 ? open : ext) * occ_a[i - 1];
-      cur_y[0] = lo == 0 ? yb : kNegInf;
-      ProfileDpCell* trow = &blk(i - blk_r0, 0);
-      if (lo == 0) trow[0].came_from[kPdY] = kPdY;
-      if (const std::size_t js = std::max<std::size_t>(lo, 1); js <= hi)
-        scorer_prepare_row(scorer, i - 1, js - 1, hi - 1);
-      profile_dp_row<true>(i, lo, hi, scorer, occ_a, occ_b, open, ext,
-                           prev_m.data(), prev_x.data(), prev_y.data(),
-                           cur_m.data(), cur_x.data(), cur_y.data(), trow);
-      std::swap(prev_m, cur_m);
-      std::swap(prev_x, cur_x);
-      std::swap(prev_y, cur_y);
-    }
-    blk_valid = true;
-  };
-
-  auto came_from_at = [&](std::size_t i, std::size_t j) -> std::uint8_t {
-    if (full_trace) return trace(i, j).came_from[state];
-    // Boundary cells mirror the full-trace matrix's preset entries.
-    if (i == 0) return state == kPdX ? kPdX : kPdM;
-    if (j == 0) return state == kPdY && j_lo(i) == 0 ? kPdY : kPdM;
-    if (!blk_valid || i <= blk_r0) load_block(i, j);
-    return blk(i - blk_r0, j).came_from[state];
-  };
-
   std::size_t i = m;
   std::size_t j = n;
   while (i > 0 || j > 0) {
-    const std::uint8_t from = came_from_at(i, j);
+    const std::uint8_t from = trace(i, j).came_from[state];
     switch (state) {
       case kPdM:
         out.ops.push_back(align::EditOp::Match);
@@ -421,7 +305,7 @@ ProfileAlignResult profile_dp(std::size_t m, std::size_t n,
 
 /// align_profiles on the scalar profile_dp instead of the wavefront kernel:
 /// the retained differential oracle (bit-identical scores, paths and
-/// tie-breaks), and the only PSP path that honours max_trace_cells.
+/// tie-breaks).
 [[nodiscard]] ProfileAlignResult align_profiles_reference(
     const Profile& a, const Profile& b, const ProfileAlignOptions& opts = {});
 

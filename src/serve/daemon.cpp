@@ -534,12 +534,9 @@ Daemon::Outcome Daemon::run_job(
   } catch (const util::CancelledError& e) {
     if (draining_.load()) return {JobState::kQueued, cli::kExitOk, ""};
     return {JobState::kCancelled, cli::kExitDeadline, e.what()};
-  } catch (const bio::InvalidInput& e) {
-    return {JobState::kFailed, cli::kExitInvalidInput, e.what()};
-  } catch (const std::invalid_argument& e) {
-    return {JobState::kFailed, cli::kExitInvalidInput, e.what()};
-  } catch (const std::exception& e) {
-    return {JobState::kFailed, cli::kExitRuntime, e.what()};
+  } catch (...) {
+    cli::ErrorClass c = cli::classify_exception();
+    return {JobState::kFailed, c.exit_code, std::move(c.what)};
   }
 }
 

@@ -1,10 +1,11 @@
 // Tests for the striped integer score tiers and the batched
 // distance-matrix layer (src/align/engine/batch.hpp, align/distance.hpp):
 //
-//  * randomized differential suite — ScoreBatch through every tier start
-//    (auto/int8/int16/float), must equal the retained
-//    reference kernel's score EXACTLY on every input, including wildcard
-//    codes, non-integral gap penalties, and open < extend;
+//  * randomized differential suite — ScoreBatch's promotion ladder must
+//    equal the retained reference kernel's score EXACTLY on every input,
+//    including wildcard codes, non-integral gap penalties, and
+//    open < extend; the inputs alone route pairs to int8, int16 and float,
+//    and the suite asserts through the Stats counters that each ran;
 //  * adversarial saturation/promotion — high-score pairs force int8->int16
 //    at run time, huge-score pairs force int16->float, long sequences skip
 //    int8 statically; the results stay exact either way;
@@ -37,7 +38,6 @@ using bio::GapPenalties;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
 using engine::ScoreBatch;
-using engine::ScoreTier;
 
 std::vector<std::uint8_t> random_codes(util::Rng& rng, std::size_t len,
                                        int letters) {
@@ -68,6 +68,7 @@ std::vector<Scenario> scenarios() {
 TEST(ScoreBatchDifferential, AllTiersMatchReferenceExactly) {
   util::Rng rng(0xB1);
   const auto scen = scenarios();
+  engine::LadderStats total;
   for (int trial = 0; trial < 60; ++trial) {
     const Scenario& sc = scen[trial % scen.size()];
     const std::size_t la = rng.below(200);
@@ -82,13 +83,15 @@ TEST(ScoreBatchDifferential, AllTiersMatchReferenceExactly) {
                           ? 0.0F
                           : engine::reference::global_align(a, b, *sc.matrix,
                                                             g).score;
-    for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                           ScoreTier::kInt16, ScoreTier::kFloat}) {
-      ScoreBatch batch(a, *sc.matrix, g, tier);
-      EXPECT_EQ(ref, batch.score(b))
-          << "trial " << trial << " tier " << engine::tier_name(tier);
-    }
+    ScoreBatch batch(a, *sc.matrix, g);
+    EXPECT_EQ(ref, batch.score(b)) << "trial " << trial;
+    total += batch.stats();
   }
+  // Short pairs under integral penalties run int8, pairs past int8's
+  // boundary rail int16, half-integer penalties float.
+  EXPECT_GT(total.int8_runs, 0u);
+  EXPECT_GT(total.int16_runs, 0u);
+  EXPECT_GT(total.float_runs, 0u);
 }
 
 TEST(ScoreBatchDifferential, ReusedBatchScoresManyCounterparts) {
@@ -119,7 +122,7 @@ TEST(ScoreBatchPromotion, HighScorePairPromotesInt8ToInt16) {
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g{10.0F, 1.0F};
   const auto a = random_codes(rng, 80, 20);
-  ScoreBatch batch(a, m, g, ScoreTier::kInt8);
+  ScoreBatch batch(a, m, g);
   const float ref = engine::reference::global_align(a, a, m, g).score;
   EXPECT_EQ(ref, batch.score(a));
   EXPECT_GE(batch.stats().int8_runs, 1u) << "int8 must have been attempted";
@@ -130,15 +133,17 @@ TEST(ScoreBatchPromotion, HighScorePairPromotesInt8ToInt16) {
 
 TEST(ScoreBatchPromotion, HugeScorePairPromotesInt16ToFloat) {
   // Identical DNA sequences of length 7000 score +35000 — beyond int16 —
-  // while the boundary gap run still fits int16, so the tier runs, detects
-  // saturation, and falls through to the float kernel.
+  // while the boundary gap run still fits int16 (and is far past int8's),
+  // so the int16 tier runs, detects saturation, and falls through to the
+  // float kernel.
   util::Rng rng(0xB4);
   const auto& m = SubstitutionMatrix::dna_default();
   const GapPenalties g{11.0F, 1.0F};
   const auto a = random_codes(rng, 7000, 4);
-  ScoreBatch batch(a, m, g, ScoreTier::kInt16);
+  ScoreBatch batch(a, m, g);
   const float got = batch.score(a);
   EXPECT_EQ(got, 5.0F * 7000.0F);  // all-match diagonal
+  EXPECT_EQ(batch.stats().int8_runs, 0u);
   EXPECT_GE(batch.stats().int16_runs, 1u);
   EXPECT_GE(batch.stats().promotions, 1u);
   EXPECT_GE(batch.stats().float_runs, 1u);
@@ -181,17 +186,14 @@ TEST(ScoreBatchEdge, EmptyAndTinyInputs) {
   const std::vector<std::uint8_t> one{3};
   const std::vector<std::uint8_t> three{1, 2, 3};
 
-  for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                         ScoreTier::kInt16, ScoreTier::kFloat}) {
-    ScoreBatch be(empty, m, g, tier);
-    EXPECT_EQ(be.score(empty), 0.0F);
-    EXPECT_FLOAT_EQ(be.score(three), -13.0F);
-    ScoreBatch bt(three, m, g, tier);
-    EXPECT_FLOAT_EQ(bt.score(empty), -13.0F);
-    ScoreBatch b1(one, m, g, tier);
-    EXPECT_EQ(engine::reference::global_align(one, three, m, g).score,
-              b1.score(three));
-  }
+  ScoreBatch be(empty, m, g);
+  EXPECT_EQ(be.score(empty), 0.0F);
+  EXPECT_FLOAT_EQ(be.score(three), -13.0F);
+  ScoreBatch bt(three, m, g);
+  EXPECT_FLOAT_EQ(bt.score(empty), -13.0F);
+  ScoreBatch b1(one, m, g);
+  EXPECT_EQ(engine::reference::global_align(one, three, m, g).score,
+            b1.score(three));
 }
 
 // ---- workspace accounting ------------------------------------------------------
@@ -240,12 +242,12 @@ TEST(AlignmentDistanceMatrix, MatchesHistoricalLoopForEveryThreadCount) {
   const GapPenalties g = m.default_gaps();
   const auto seqs = random_seqs(rng, 9, 60);
 
-  // The historical ClustalW stage-1 nested loop, verbatim.
+  // The historical ClustalW stage-1 nested loop on the reference kernel.
   util::SymmetricMatrix<double> want(seqs.size(), 0.0);
   for (std::size_t i = 0; i < seqs.size(); ++i)
     for (std::size_t j = 0; j < i; ++j) {
-      const PairwiseAlignment pw =
-          engine::global_align(seqs[i].codes(), seqs[j].codes(), m, g);
+      const PairwiseAlignment pw = engine::reference::global_align(
+          seqs[i].codes(), seqs[j].codes(), m, g);
       want(i, j) = kimura_distance(
           fractional_identity(seqs[i].codes(), seqs[j].codes(), pw.ops));
     }
@@ -295,8 +297,8 @@ TEST(AlignmentDistanceMatrix, VisitorRunsSeriallyInPairOrder) {
       [&](std::size_t i, std::size_t j, const PairAlignments& pair) {
         visited.emplace_back(i, j);
         // Spot-check the payload against direct kernel calls.
-        const PairwiseAlignment pw =
-            engine::global_align(seqs[i].codes(), seqs[j].codes(), m, g);
+        const PairwiseAlignment pw = engine::reference::global_align(
+            seqs[i].codes(), seqs[j].codes(), m, g);
         EXPECT_EQ(pw.score, pair.global.score);
         EXPECT_EQ(pw.ops, pair.global.ops);
         const LocalAlignment loc =
@@ -334,14 +336,17 @@ TEST(ScoreDistanceMatrix, MatchesPerPairFormulaAndThreadInvariant) {
         EXPECT_EQ(base(i, j), got(i, j)) << "threads=" << threads;
   }
 
-  // Per-pair formula against direct engine scores.
+  // Per-pair formula against reference scores.
+  const auto ref_score = [&](std::size_t i, std::size_t j) {
+    return engine::reference::global_align(seqs[i].codes(), seqs[j].codes(),
+                                           m, g)
+        .score;
+  };
   std::vector<float> self(n);
-  for (std::size_t i = 0; i < n; ++i)
-    self[i] = engine::global_score(seqs[i].codes(), seqs[i].codes(), m, g);
+  for (std::size_t i = 0; i < n; ++i) self[i] = ref_score(i, i);
   for (std::size_t i = 1; i < n; ++i)
     for (std::size_t j = 0; j < i; ++j) {
-      const float sij =
-          engine::global_score(seqs[i].codes(), seqs[j].codes(), m, g);
+      const float sij = ref_score(i, j);
       const double denom = std::min(self[i], self[j]);
       const double want =
           denom <= 0.0 ? kMaxScoreDistance

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <vector>
 
+#include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
 #include "align/pairwise.hpp"
 #include "bio/substitution_matrix.hpp"
@@ -79,9 +80,9 @@ TEST(EngineDifferential, GlobalMatchesReferenceExactly) {
 
     const PairwiseAlignment ref =
         engine::reference::global_align(a, b, *sc.matrix, g);
-    expect_same_pairwise(ref, engine::global_align(a, b, *sc.matrix, g),
-                         "global", trial);
-    EXPECT_EQ(ref.score, engine::global_score(a, b, *sc.matrix, g))
+    expect_same_pairwise(
+        ref, engine::AlignBatch(a, *sc.matrix, g).align(b), "global", trial);
+    EXPECT_EQ(ref.score, engine::ScoreBatch(a, *sc.matrix, g).score(b))
         << "score-only trial " << trial;
   }
 }
@@ -132,13 +133,13 @@ TEST(EngineDifferential, DegenerateInputsShareOneCodePath) {
   const std::vector<std::uint8_t> a{1, 2, 3};
   const std::vector<std::uint8_t> empty;
 
-  const PairwiseAlignment r1 = engine::global_align(a, empty, m, g);
+  const PairwiseAlignment r1 = engine::AlignBatch(a, m, g).align(empty);
   EXPECT_EQ(r1.ops, std::vector<EditOp>(3, EditOp::GapInB));
   EXPECT_FLOAT_EQ(r1.score, -13.0F);
   const PairwiseAlignment r2 = engine::banded_global_align(empty, a, m, g, 4);
   EXPECT_EQ(r2.ops, std::vector<EditOp>(3, EditOp::GapInA));
   EXPECT_FLOAT_EQ(r2.score, -13.0F);
-  const PairwiseAlignment r3 = engine::global_align(empty, empty, m, g);
+  const PairwiseAlignment r3 = engine::AlignBatch(empty, m, g).align(empty);
   EXPECT_TRUE(r3.ops.empty());
   EXPECT_EQ(r3.score, 0.0F);
   EXPECT_TRUE(engine::local_align(a, empty, m, g).ops.empty());
@@ -175,8 +176,9 @@ TEST(EngineMemory, ScoreOnlyTenKByTenKIsLinear) {
   const auto b = random_codes(rng, len, 4);
   const auto& m = SubstitutionMatrix::dna_default();
 
-  std::size_t ws_bytes = 0;
-  const float score = engine::global_score(a, b, m, {}, &ws_bytes);
+  engine::ScoreBatch batch(a, m, {});
+  const float score = batch.score(b);
+  const std::size_t ws_bytes = batch.workspace_bytes();
   EXPECT_TRUE(std::isfinite(score));
   EXPECT_GT(ws_bytes, 0u);
   EXPECT_LT(ws_bytes, 256 * (a.size() + b.size() + 64));

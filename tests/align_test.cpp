@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "align/distance.hpp"
+#include "align/engine/batch.hpp"
 #include "align/engine/engine.hpp"
 #include "align/pairwise.hpp"
 #include "bio/sequence.hpp"
@@ -16,10 +17,16 @@ using bio::GapPenalties;
 using bio::Sequence;
 using bio::SubstitutionMatrix;
 using engine::banded_global_align;
-using engine::global_align;
 using engine::local_align;
 
 const SubstitutionMatrix& B62() { return SubstitutionMatrix::blosum62(); }
+
+/// One global alignment through the engine's promotion ladder.
+PairwiseAlignment ladder_align(std::span<const std::uint8_t> a,
+                               std::span<const std::uint8_t> b,
+                               const SubstitutionMatrix& m, GapPenalties g) {
+  return engine::AlignBatch(a, m, g).align(b);
+}
 
 std::vector<std::uint8_t> codes(const std::string& text) {
   const Sequence s("t", text);
@@ -115,7 +122,7 @@ TEST(PairwisePath, ScorePathOverrunThrows) {
 
 TEST(GlobalAlign, IdenticalSequences) {
   const auto a = codes("ACDEFGHIKL");
-  const PairwiseAlignment r = global_align(a, a, B62(), {});
+  const PairwiseAlignment r = ladder_align(a, a, B62(), {});
   EXPECT_EQ(r.columns(), a.size());
   for (EditOp op : r.ops) EXPECT_EQ(op, EditOp::Match);
   float expect = 0.0F;
@@ -127,11 +134,11 @@ TEST(GlobalAlign, EmptyInputs) {
   const auto a = codes("ACD");
   const auto empty = codes("");
   const GapPenalties g{11.0F, 1.0F};
-  const PairwiseAlignment r1 = global_align(a, empty, B62(), g);
+  const PairwiseAlignment r1 = ladder_align(a, empty, B62(), g);
   EXPECT_EQ(r1.a_consumed(), 3u);
   EXPECT_EQ(r1.b_consumed(), 0u);
   EXPECT_FLOAT_EQ(r1.score, -13.0F);  // open + 2 extends
-  const PairwiseAlignment r2 = global_align(empty, empty, B62(), g);
+  const PairwiseAlignment r2 = ladder_align(empty, empty, B62(), g);
   EXPECT_TRUE(r2.ops.empty());
   EXPECT_FLOAT_EQ(r2.score, 0.0F);
 }
@@ -141,7 +148,7 @@ TEST(GlobalAlign, KnownSmallCase) {
   const auto a = codes("WWF");
   const auto b = codes("WF");
   const GapPenalties g{5.0F, 1.0F};
-  const PairwiseAlignment r = global_align(a, b, B62(), g);
+  const PairwiseAlignment r = ladder_align(a, b, B62(), g);
   validate_global_path(r.ops, a.size(), b.size());
   EXPECT_FLOAT_EQ(r.score, 11.0F + 6.0F - 5.0F);
 }
@@ -153,7 +160,7 @@ TEST(GlobalAlign, ScoreMatchesRecomputedPathScore) {
     std::vector<std::uint8_t> b(10 + rng.below(30));
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    const PairwiseAlignment r = global_align(a, b, B62(), {});
+    const PairwiseAlignment r = ladder_align(a, b, B62(), {});
     validate_global_path(r.ops, a.size(), b.size());
     EXPECT_NEAR(r.score, score_path(a, b, r.ops, B62(), {}), 1e-3)
         << "trial " << trial;
@@ -168,7 +175,7 @@ TEST(GlobalAlign, MatchesBruteForceOracle) {
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
     const GapPenalties g{7.0F, 2.0F};
-    const PairwiseAlignment r = global_align(a, b, B62(), g);
+    const PairwiseAlignment r = ladder_align(a, b, B62(), g);
     EXPECT_NEAR(r.score, brute_force_global(a, b, B62(), g), 1e-3)
         << "trial " << trial;
   }
@@ -177,8 +184,8 @@ TEST(GlobalAlign, MatchesBruteForceOracle) {
 TEST(GlobalAlign, SymmetricScore) {
   const auto a = codes("MKVLATTWY");
   const auto b = codes("MKVATTWWY");
-  const float s1 = global_align(a, b, B62(), {}).score;
-  const float s2 = global_align(b, a, B62(), {}).score;
+  const float s1 = ladder_align(a, b, B62(), {}).score;
+  const float s2 = ladder_align(b, a, B62(), {}).score;
   EXPECT_FLOAT_EQ(s1, s2);
 }
 
@@ -193,7 +200,7 @@ TEST_P(BandedTest, WideBandMatchesExact) {
     std::vector<std::uint8_t> b(20 + rng.below(20));
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
-    const PairwiseAlignment exact = global_align(a, b, B62(), {});
+    const PairwiseAlignment exact = ladder_align(a, b, B62(), {});
     const PairwiseAlignment banded =
         banded_global_align(a, b, B62(), {}, 64);
     EXPECT_FLOAT_EQ(banded.score, exact.score) << "trial " << trial;
@@ -211,7 +218,7 @@ TEST_P(BandedTest, NarrowBandStillValidPath) {
   const PairwiseAlignment r = banded_global_align(a, b, B62(), {}, band);
   validate_global_path(r.ops, a.size(), b.size());
   // Banded is a restriction: never better than exact.
-  const PairwiseAlignment exact = global_align(a, b, B62(), {});
+  const PairwiseAlignment exact = ladder_align(a, b, B62(), {});
   EXPECT_LE(r.score, exact.score + 1e-3);
 }
 
@@ -223,7 +230,7 @@ TEST(BandedAlign, SimilarSequencesExactWithSmallBand) {
   const auto a = codes("MKVLATTWYGGSDERKLAAC");
   auto bc = codes("MKVLATTWYGGSDERKLAAC");
   bc[7] = codes("P")[0];
-  const float exact = global_align(a, bc, B62(), {}).score;
+  const float exact = ladder_align(a, bc, B62(), {}).score;
   const float banded = banded_global_align(a, bc, B62(), {}, 2).score;
   EXPECT_FLOAT_EQ(banded, exact);
 }
@@ -276,7 +283,7 @@ TEST(LocalAlign, LocalAtLeastGlobalScore) {
     for (auto& c : a) c = static_cast<std::uint8_t>(rng.below(20));
     for (auto& c : b) c = static_cast<std::uint8_t>(rng.below(20));
     EXPECT_GE(local_align(a, b, B62(), {}).score,
-              global_align(a, b, B62(), {}).score - 1e-3);
+              ladder_align(a, b, B62(), {}).score - 1e-3);
   }
 }
 
@@ -316,8 +323,13 @@ TEST(Distance, AlignmentDistanceOrdersByRelatedness) {
   auto close_seq = codes("MKVLATTWYGGSDERKLAAC");
   close_seq[3] = codes("G")[0];
   const auto far = codes("PPNNQQRRSSTTVVYYHHMM");
-  const double d_close = alignment_distance(a, close_seq, B62(), {});
-  const double d_far = alignment_distance(a, far, B62(), {});
+  const std::vector<Sequence> seqs{
+      Sequence("a", a, bio::AlphabetKind::AminoAcid),
+      Sequence("close", close_seq, bio::AlphabetKind::AminoAcid),
+      Sequence("far", far, bio::AlphabetKind::AminoAcid)};
+  const auto d = alignment_distance_matrix(seqs, B62(), {});
+  const double d_close = d(1, 0);
+  const double d_far = d(2, 0);
   EXPECT_LT(d_close, d_far);
   EXPECT_GE(d_close, 0.0);
 }

@@ -2,19 +2,21 @@
 // batched int8 kernel (engine::AlignBatch, engine::PairBatch, and the
 // alignment_distance_matrix routing over them):
 //
-//  * randomized striped-traceback-vs-reference differential — AlignBatch
-//    through every tier start, score AND ops (tie-breaks
-//    included) must equal the retained reference kernel EXACTLY, on random,
-//    degenerate and empty inputs, integral and non-integral penalties;
+//  * randomized striped-traceback-vs-reference differential — AlignBatch's
+//    promotion ladder, score AND ops (tie-breaks included) must equal the
+//    retained reference kernel EXACTLY, on random, degenerate and empty
+//    inputs, integral and non-integral penalties; the inputs alone route
+//    pairs to int8, int16 and float, and the Stats counters show each ran;
 //  * adversarial near-rail cases — the alignment tier's E/F floor rail is
 //    stricter than the score tier's H rails: pairs engineered to clamp E/F
 //    without touching an H rail must promote (trace_promotions) and stay
-//    exact, pinning the ScoreTier gate audit of the PR;
+//    exact;
 //  * inter-pair batch kernel — ok lanes bit-identical to the reference,
 //    saturating lanes reported not-ok, length-mixed groups exact;
-//  * alignment_distance_matrix — new batched/laddered routing bit-identical
+//  * alignment_distance_matrix — batched/laddered routing bit-identical
 //    to the per-pair reference loop for every thread count, visitor order
-//    preserved, kFloat pinning the pre-integer path, bands unaffected;
+//    preserved, saturated batch lanes retried through the ladder,
+//    non-integral penalties on the float path, bands unaffected;
 //  * kimura_distance saturation — the kMaxGuideTreeDistance clamp applied
 //    consistently across the distance drivers.
 
@@ -45,7 +47,6 @@ using bio::Sequence;
 using bio::SubstitutionMatrix;
 using engine::AlignBatch;
 using engine::PairBatch;
-using engine::ScoreTier;
 
 std::vector<std::uint8_t> random_codes(util::Rng& rng, std::size_t len,
                                        int letters) {
@@ -102,6 +103,7 @@ void expect_same(const PairwiseAlignment& ref, const PairwiseAlignment& got,
 TEST(StripedTracebackDifferential, AllTiersMatchReferenceExactly) {
   util::Rng rng(0xC1);
   const auto scen = scenarios();
+  engine::LadderStats total;
   for (int trial = 0; trial < 60; ++trial) {
     const Scenario& sc = scen[trial % scen.size()];
     const std::size_t la = rng.below(160);
@@ -112,17 +114,18 @@ TEST(StripedTracebackDifferential, AllTiersMatchReferenceExactly) {
     g.open = static_cast<float>(1 + rng.below(14));
     g.extend = static_cast<float>(1 + rng.below(4)) * 0.5F;  // incl. 0.5/1.5
 
-    const PairwiseAlignment ref = ref_align(a, b, *sc.matrix, g);
-    for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                           ScoreTier::kInt16, ScoreTier::kFloat}) {
-      AlignBatch batch(a, *sc.matrix, g, tier);
-      const PairwiseAlignment got = batch.align(b);
-      char label[64];
-      std::snprintf(label, sizeof label, "trial %d %s", trial,
-                    engine::tier_name(tier));
-      expect_same(ref, got, label);
-    }
+    AlignBatch batch(a, *sc.matrix, g);
+    const PairwiseAlignment got = batch.align(b);
+    char label[32];
+    std::snprintf(label, sizeof label, "trial %d", trial);
+    expect_same(ref_align(a, b, *sc.matrix, g), got, label);
+    total += batch.stats();
   }
+  // Short pairs under integral penalties run int8, pairs past int8's
+  // boundary rail int16, half-integer penalties float.
+  EXPECT_GT(total.int8_runs, 0u);
+  EXPECT_GT(total.int16_runs, 0u);
+  EXPECT_GT(total.float_runs, 0u);
 }
 
 TEST(StripedTracebackDifferential, SimilarPairsAndLongerSequences) {
@@ -169,14 +172,14 @@ TEST(StripedTracebackPromotion, HighScorePairPromotesAndStaysExact) {
   const auto& m = SubstitutionMatrix::blosum62();
   const GapPenalties g{10.0F, 1.0F};
   const auto a = random_codes(rng, 80, 20);
-  AlignBatch batch(a, m, g, ScoreTier::kInt8);
+  AlignBatch batch(a, m, g);
   expect_same(ref_align(a, a, m, g), batch.align(a), "self pair");
   EXPECT_GE(batch.stats().int8_runs, 1u);
   EXPECT_GE(batch.stats().promotions, 1u);
 }
 
 TEST(StripedTracebackPromotion, AlignmentRailsAreStricterThanScoreRails) {
-  // The ScoreTier gate audit of this PR: the score tiers only need exact H
+  // The score tiers only need exact H
   // (a clamped E/F that never wins a cell cannot move the score), but the
   // traceback READS E/F, so the alignment tier must also promote when a
   // stored E/F sat on the floor rail. This sweep deterministically hits
@@ -193,14 +196,15 @@ TEST(StripedTracebackPromotion, AlignmentRailsAreStricterThanScoreRails) {
                          static_cast<float>(1 + rng.below(2))};
     const auto a = random_codes(rng, len, 20);
     const auto b = random_codes(rng, len, 20);
-    AlignBatch batch(a, m, g, ScoreTier::kInt8);
+    AlignBatch batch(a, m, g);
     expect_same(ref_align(a, b, m, g), batch.align(b), "near-rail pair");
     if (batch.stats().trace_promotions > 0) {
       ++trace_promotions;
       // The same pair through the SCORE tier must not promote: the H rails
       // were fine — only the alignment-tier E/F check fired.
-      engine::ScoreBatch score(a, m, g, ScoreTier::kInt8);
+      engine::ScoreBatch score(a, m, g);
       EXPECT_EQ(score.score(b), ref_align(a, b, m, g).score);
+      EXPECT_GE(score.stats().int8_runs, 1u);
       EXPECT_EQ(score.stats().promotions, 0u)
           << "expected a pair that is score-exact in int8 yet "
              "traceback-inexact";
@@ -216,14 +220,10 @@ TEST(StripedTracebackEdge, EmptyAndTinyInputs) {
   const std::vector<std::uint8_t> empty;
   const std::vector<std::uint8_t> one{3};
   const std::vector<std::uint8_t> three{1, 2, 3};
-  for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt8,
-                         ScoreTier::kInt16, ScoreTier::kFloat}) {
-    for (const auto* pa : {&empty, &one, &three}) {
-      for (const auto* pb : {&empty, &one, &three}) {
-        AlignBatch batch(*pa, m, g, tier);
-        expect_same(ref_align(*pa, *pb, m, g), batch.align(*pb),
-                    "degenerate");
-      }
+  for (const auto* pa : {&empty, &one, &three}) {
+    for (const auto* pb : {&empty, &one, &three}) {
+      AlignBatch batch(*pa, m, g);
+      expect_same(ref_align(*pa, *pb, m, g), batch.align(*pb), "degenerate");
     }
   }
 }
@@ -311,44 +311,84 @@ TEST(DistanceMatrixAligned, MatchesPerPairReferenceForEveryThreadCount) {
   // bounded-row-run task shape too.
   const auto seqs = random_family(rng, 20, 30, 160);
   const auto& m = SubstitutionMatrix::blosum62();
-  const GapPenalties g = m.default_gaps();
+  // Integral penalties take the integer tiers; half-integer ones route
+  // every pair to the float kernel, with no batched lanes at all.
+  for (const GapPenalties g : {m.default_gaps(), GapPenalties{10.5F, 0.5F}}) {
+    const bool integral = g.open == std::floor(g.open);
+    // Reference: the historical serial per-pair loop.
+    util::SymmetricMatrix<double> want(seqs.size(), 0.0);
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+      for (std::size_t j = 0; j < i; ++j) {
+        const PairwiseAlignment aln =
+            ref_align(seqs[i].codes(), seqs[j].codes(), m, g);
+        want(i, j) = kimura_distance(
+            fractional_identity(seqs[i].codes(), seqs[j].codes(), aln.ops));
+      }
 
-  // Reference: the historical serial per-pair loop.
-  util::SymmetricMatrix<double> want(seqs.size(), 0.0);
-  for (std::size_t i = 0; i < seqs.size(); ++i)
-    for (std::size_t j = 0; j < i; ++j) {
-      const PairwiseAlignment aln =
-          ref_align(seqs[i].codes(), seqs[j].codes(), m, g);
-      want(i, j) = kimura_distance(
-          fractional_identity(seqs[i].codes(), seqs[j].codes(), aln.ops));
-    }
-
-  for (unsigned threads : {1U, 2U, 5U}) {
-    for (ScoreTier tier : {ScoreTier::kAuto, ScoreTier::kInt16,
-                           ScoreTier::kFloat}) {
+    for (unsigned threads : {1U, 2U, 5U}) {
       PairDistanceOptions opt;
       opt.threads = threads;
-      opt.first_tier = tier;
       PairDistanceStats stats;
       opt.stats = &stats;
       const auto got = alignment_distance_matrix(seqs, m, g, opt);
       for (std::size_t i = 0; i < seqs.size(); ++i)
         for (std::size_t j = 0; j < i; ++j)
           EXPECT_EQ(want(i, j), got(i, j))
-              << i << "," << j << " threads=" << threads << " tier="
-              << engine::tier_name(tier);
+              << i << "," << j << " threads=" << threads
+              << " integral=" << integral;
       EXPECT_EQ(stats.pairs, seqs.size() * (seqs.size() - 1) / 2);
-      if (tier == ScoreTier::kAuto) {
-        EXPECT_GT(stats.batched_int8 + stats.ladder.int8_runs +
-                      stats.ladder.int16_runs,
-                  0u)
-            << "integer tiers never engaged";
-      }
-      if (tier == ScoreTier::kFloat) {
+      if (integral) {
+        EXPECT_GT(stats.batched_int8, 0u);
+        EXPECT_GT(stats.ladder.int8_runs + stats.ladder.int16_runs, 0u)
+            << "striped integer tiers never engaged";
+      } else {
         EXPECT_EQ(stats.batched_int8, 0u);
         EXPECT_EQ(stats.ladder.int8_runs + stats.ladder.int16_runs, 0u);
+        EXPECT_EQ(stats.ladder.float_runs, stats.pairs);
       }
     }
+  }
+}
+
+TEST(DistanceMatrixAligned, SaturatedBatchLanesRetryThroughTheLadder) {
+  // Identical ~90-residue proteins: every pair fits the inter-pair int8
+  // kernel's length cap, but its self-score blows the int8 ceiling, so each
+  // batched lane saturates and the pair is re-run through the per-pair
+  // promotion ladder. Distances and visited alignments must still equal
+  // the per-pair reference.
+  util::Rng rng(0xCA);
+  const auto& m = SubstitutionMatrix::blosum62();
+  const GapPenalties g{10.0F, 1.0F};
+  const auto root = random_codes(rng, 90, 20);
+  ASSERT_LE(root.size(), PairBatch(m, g).max_len());
+  std::vector<Sequence> seqs;
+  for (std::size_t s = 0; s < 10; ++s)
+    seqs.emplace_back(util::indexed_name("s", s), root,
+                      bio::AlphabetKind::AminoAcid);
+  const PairwiseAlignment want = ref_align(root, root, m, g);
+  const double want_d = kimura_distance(1.0);
+
+  for (unsigned threads : {1U, 3U}) {
+    PairDistanceOptions opt;
+    opt.threads = threads;
+    PairDistanceStats stats;
+    opt.stats = &stats;
+    std::size_t visited = 0;
+    const auto got = alignment_distance_matrix(
+        seqs, m, g, opt,
+        [&](std::size_t, std::size_t, const PairAlignments& pair) {
+          ++visited;
+          expect_same(want, pair.global, "retried pair");
+        });
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        EXPECT_EQ(want_d, got(i, j)) << i << "," << j;
+    EXPECT_EQ(visited, stats.pairs);
+    EXPECT_GT(stats.batch_retries, 0u) << "no batched lane saturated";
+    EXPECT_EQ(stats.batched_int8 + stats.batch_retries, stats.pairs);
+    // Each retried pair saturates int8 again and finishes on int16.
+    EXPECT_EQ(stats.ladder.int16_runs, stats.batch_retries);
+    EXPECT_EQ(stats.ladder.float_runs, 0u);
   }
 }
 

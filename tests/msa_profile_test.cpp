@@ -136,38 +136,6 @@ TEST(ProfileAlign, EmptySides) {
   for (EditOp op : r.ops) EXPECT_EQ(op, EditOp::GapInB);
 }
 
-TEST(ProfileAlign, CheckpointedTracebackMatchesFullTraceExactly) {
-  // On the scalar PSP DP (the one that honours max_trace_cells), forcing
-  // max_trace_cells = 1 pushes every DP onto the checkpointed
-  // (row-checkpoint + block-recompute) traceback path; the result must be
-  // bit-identical to the full-trace path, banded or not.
-  const auto fam = workload::rose_sequences(
-      {.num_sequences = 8, .average_length = 90, .relatedness = 500,
-       .seed = 29});
-  for (std::size_t t = 0; t + 1 < fam.size(); t += 2) {
-    const Alignment a = Alignment::from_sequence(fam[t]);
-    const Alignment b = Alignment::from_sequence(fam[t + 1]);
-    const Profile pa(a, B62());
-    const Profile pb(b, B62());
-    for (std::size_t band : {std::size_t{0}, std::size_t{8}}) {
-      ProfileAlignOptions full;
-      full.band = band;
-      ProfileAlignOptions ckpt = full;
-      ckpt.max_trace_cells = 1;
-      const ProfileAlignResult want =
-          detail::align_profiles_reference(pa, pb, full);
-      const ProfileAlignResult got =
-          detail::align_profiles_reference(pa, pb, ckpt);
-      EXPECT_EQ(want.score, got.score) << "pair " << t << " band " << band;
-      ASSERT_EQ(want.ops.size(), got.ops.size())
-          << "pair " << t << " band " << band;
-      for (std::size_t k = 0; k < want.ops.size(); ++k)
-        ASSERT_EQ(want.ops[k], got.ops[k])
-            << "pair " << t << " band " << band << " op " << k;
-    }
-  }
-}
-
 TEST(ProfileAlign, BandedMatchesFullForSimilarProfiles) {
   const auto fam = workload::rose_sequences(
       {.num_sequences = 2, .average_length = 60, .relatedness = 150,

@@ -421,6 +421,26 @@ TEST_F(ServeTest, SubmitRunsJobByteIdenticalToDirectRun) {
   EXPECT_NE(slurp(path("served.afa")), "");
 }
 
+TEST_F(ServeTest, InvalidInputJobFailsWithExit3) {
+  // The job's FASTA parses but repeats a record id: invalid content, so the
+  // job fails with the CLI's invalid-input exit code, not a runtime 1.
+  const std::string in = path("dup.fasta");
+  {
+    std::ofstream f(in);
+    f << ">a\nACDEFGHIKL\n>b\nACDEFGHIKM\n>a\nACDEFGHIKN\n";
+  }
+  DaemonRunner runner(options());
+  ASSERT_TRUE(runner.ready()) << runner.error();
+  const Json ack = request(path("d.sock"), submit_request(in, path("o.afa")));
+  ASSERT_TRUE(ack.get_bool("ok")) << ack.dump();
+  const Json job = wait_terminal(path("d.sock"), ack.get_string("id"));
+  EXPECT_EQ(job.get_string("state"), "failed") << job.dump();
+  EXPECT_EQ(job.get_number("exit_code", -1), cli::kExitInvalidInput);
+  EXPECT_NE(job.get_string("error").find("duplicate"), std::string::npos)
+      << job.dump();
+  EXPECT_FALSE(fs::exists(path("o.afa")));
+}
+
 TEST_F(ServeTest, SubmitWithRetiredMaxMemoryIsAcceptedAndIgnored) {
   // Older clients still send max_memory; the daemon accepts the job, runs
   // it like any other and journals no trace of the field.
