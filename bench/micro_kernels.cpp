@@ -524,6 +524,39 @@ void BM_UpgmaBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_UpgmaBuild)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
+// MUSCLE's stage-2 induced-Kimura distance matrix (the bit-sliced kernel)
+// over 400 rows at the stage-1 MSA widths of family-seq (464 columns) and
+// genome (724): rows mutated from one base row, 30% gaps.
+void BM_InducedKimura(benchmark::State& state) {
+  constexpr std::size_t n = 400;
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  util::Rng rng(5);
+  std::vector<std::uint8_t> base(width);
+  for (auto& c : base) c = static_cast<std::uint8_t>(rng.below(20));
+  std::vector<msa::AlignedRow> rows;
+  for (std::size_t r = 0; r < n; ++r) {
+    msa::AlignedRow row{util::indexed_name("s", r), base};
+    for (auto& c : row.cells) {
+      if (rng.chance(0.4)) c = static_cast<std::uint8_t>(rng.below(20));
+      if (rng.chance(0.3)) c = msa::Alignment::kGap;
+    }
+    rows.push_back(std::move(row));
+  }
+  const msa::Alignment aln(std::move(rows), bio::AlphabetKind::AminoAcid);
+  double wall = 0.0;
+  for (auto _ : state) {
+    const util::Stopwatch watch;
+    benchmark::DoNotOptimize(msa::induced_kimura_distances(aln, threads));
+    wall += watch.seconds();
+  }
+  set_pairs_per_second(state, n * (n - 1) / 2, wall);
+  state.counters["threads"] = static_cast<double>(threads);
+}
+BENCHMARK(BM_InducedKimura)
+    ->Args({464, 1})->Args({724, 1})->Args({724, 4})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_MiniMuscleEndToEnd(benchmark::State& state) {
   const auto seqs = seqs_cache(static_cast<std::size_t>(state.range(0)), 150);
   const msa::MuscleAligner aligner;

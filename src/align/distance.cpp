@@ -67,9 +67,15 @@ util::SymmetricMatrix<double> pairwise_distance_matrix(
   util::parallel_for(
       pairs,
       [&](std::size_t begin, std::size_t end) {
+        // Decode the chunk's first pair once, then step (i, j) through
+        // pair_from_index order: row i, then j < i.
+        auto [i, j] = pair_from_index(begin);
         for (std::size_t p = begin; p < end; ++p) {
-          const auto [i, j] = pair_from_index(p);
           d(i, j) = fn(i, j);
+          if (++j == i) {
+            ++i;
+            j = 0;
+          }
         }
       },
       threads);

@@ -52,10 +52,11 @@ inline constexpr double kMaxGuideTreeDistance = 5.0;
 
 /// Deterministic threaded all-pairs driver: fills d(i, j) = fn(i, j) for
 /// every j < i (diagonal stays 0) via util::parallel_for over the linear
-/// pair index. `fn` must be thread-safe and independent per pair — it may
-/// write per-pair side state (e.g. a preallocated posterior slot), but
-/// nothing shared across pairs; each pair then has exactly one writer and
-/// the result is bit-identical for every thread count.
+/// pair index; each chunk decodes its first pair and steps the rest in
+/// pair_from_index order. `fn` must be thread-safe and independent per
+/// pair — it may write per-pair side state (e.g. a preallocated posterior
+/// slot), but nothing shared across pairs; each pair then has exactly one
+/// writer and the result is bit-identical for every thread count.
 [[nodiscard]] util::SymmetricMatrix<double> pairwise_distance_matrix(
     std::size_t n, unsigned threads,
     const std::function<double(std::size_t, std::size_t)>& fn);

@@ -1,8 +1,12 @@
 #include "msa/muscle_like.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "align/distance.hpp"
 #include "bio/content_hash.hpp"
@@ -15,22 +19,62 @@ namespace salign::msa {
 
 namespace {
 
-/// Kimura distances from the identities induced by an existing alignment —
-/// much cheaper than re-aligning pairs, and exactly MUSCLE's stage-2 trick.
-/// An O(N^2 L) distance-matrix pass, so it rides the threaded all-pairs
-/// driver (bit-identical output for any thread count).
+/// Code bit-planes per word: every alphabet's codes are below 21 < 2^5.
+constexpr std::size_t kCodeBits = 5;
+/// Planes per 64-column word: one presence plane (cell is not a gap), then
+/// the code bit-planes.
+constexpr std::size_t kPlanes = 1 + kCodeBits;
+
+}  // namespace
+
 util::SymmetricMatrix<double> induced_kimura_distances(const Alignment& aln,
                                                        unsigned threads) {
+  return induced_kimura_distances(aln.rows(), threads);
+}
+
+util::SymmetricMatrix<double> induced_kimura_distances(
+    std::span<const AlignedRow> rows, unsigned threads) {
+  const std::size_t n = rows.size();
+  const std::size_t width = n == 0 ? 0 : rows.front().cells.size();
+  const std::size_t words = (width + 63) / 64;
+  const std::size_t row_stride = words * kPlanes;
+
+  // Row r's word w sits at planes[r * row_stride + w * kPlanes]: presence
+  // first, then code bit k at offset 1 + k. Gap cells and the padding past
+  // `width` are all-zero, so they drop out of every count.
+  std::vector<std::uint64_t> planes(n * row_stride, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto& cells = rows[r].cells;
+    if (cells.size() != width)
+      throw std::invalid_argument("induced_kimura_distances: ragged rows");
+    std::uint64_t* out = planes.data() + r * row_stride;
+    for (std::size_t c = 0; c < width; ++c) {
+      const std::uint8_t code = cells[c];
+      if (code == Alignment::kGap) continue;
+      if (code >> kCodeBits != 0)
+        throw std::invalid_argument(
+            "induced_kimura_distances: code " + std::to_string(code) +
+            " does not fit the 5 code bit-planes");
+      std::uint64_t* word = out + (c / 64) * kPlanes;
+      const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+      word[0] |= bit;
+      for (std::size_t k = 0; k < kCodeBits; ++k)
+        if ((code >> k) & 1U) word[1 + k] |= bit;
+    }
+  }
+
   return align::pairwise_distance_matrix(
-      aln.num_rows(), threads, [&](std::size_t i, std::size_t j) {
-        const auto& a = aln.row(i).cells;
-        const auto& b = aln.row(j).cells;
+      n, threads, [&](std::size_t i, std::size_t j) {
+        const std::uint64_t* a = planes.data() + i * row_stride;
+        const std::uint64_t* b = planes.data() + j * row_stride;
         std::size_t cols = 0;
         std::size_t matches = 0;
-        for (std::size_t c = 0; c < a.size(); ++c) {
-          if (a[c] == Alignment::kGap || b[c] == Alignment::kGap) continue;
-          ++cols;
-          if (a[c] == b[c]) ++matches;
+        for (std::size_t w = 0; w < words; ++w, a += kPlanes, b += kPlanes) {
+          const std::uint64_t both = a[0] & b[0];
+          std::uint64_t differ = 0;
+          for (std::size_t k = 1; k < kPlanes; ++k) differ |= a[k] ^ b[k];
+          cols += static_cast<std::size_t>(std::popcount(both));
+          matches += static_cast<std::size_t>(std::popcount(both & ~differ));
         }
         const double identity =
             cols == 0
@@ -39,8 +83,6 @@ util::SymmetricMatrix<double> induced_kimura_distances(const Alignment& aln,
         return align::kimura_distance(identity);
       });
 }
-
-}  // namespace
 
 MuscleAligner::MuscleAligner(MuscleOptions options,
                              const bio::SubstitutionMatrix& matrix)

@@ -4,8 +4,26 @@
 #include "kmer/kmer_profile.hpp"
 #include "msa/msa_algorithm.hpp"
 #include "msa/phase_stats.hpp"
+#include "util/matrix.hpp"
 
 namespace salign::msa {
+
+/// MUSCLE's stage-2 distances: the Kimura distance of every row pair's
+/// identity as induced by an existing alignment (columns where both rows
+/// hold a residue; identical codes count as matches). Each row is encoded
+/// once into a presence plane and 5 code bit-planes of 64-column words, so
+/// a pair costs two popcounts per word instead of a byte test per column;
+/// the counts, and so the distances, are exactly the byte loop's. Rides the
+/// threaded align::pairwise_distance_matrix driver (bit-identical for any
+/// thread count).
+[[nodiscard]] util::SymmetricMatrix<double> induced_kimura_distances(
+    const Alignment& aln, unsigned threads);
+
+/// The same over raw rows, which need not form a valid Alignment. Throws
+/// std::invalid_argument on ragged rows, or on a cell that is neither
+/// Alignment::kGap nor a code below 32, rather than alias it.
+[[nodiscard]] util::SymmetricMatrix<double> induced_kimura_distances(
+    std::span<const AlignedRow> rows, unsigned threads);
 
 /// Configuration of the MUSCLE-style aligner.
 struct MuscleOptions {

@@ -1,6 +1,7 @@
 #include "msa/tcoffee_like.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -67,20 +68,42 @@ void add_pair_alignment(Library& lib, std::size_t i, std::size_t j,
 
 /// Triplet extension: for every two-edge path s/x -> k/z -> t/y (s != t),
 /// support (s/x, t/y) with min of the two edge weights.
+///
+/// Each residue s/x gets a dense slot table over every residue t/y of the
+/// input holding 1 + the index of its (t, y) edge in ext[s][x] (0: none),
+/// seeded from the primary edges and cleared once s/x is done, so each
+/// insert is O(1) instead of a scan of the edge list. Edges keep their
+/// first-insertion order and every weight its summation order.
 Library extend_library(const Library& primary) {
   const std::size_t n = primary.size();
+  std::vector<std::size_t> first(n + 1, 0);  // residue t/y -> first[t] + y
+  for (std::size_t s = 0; s < n; ++s)
+    first[s + 1] = first[s] + primary[s].size();
+  std::vector<std::uint32_t> slot(first[n], 0);
+  const auto slot_of = [&](const LibEdge& e) -> std::uint32_t& {
+    return slot[first[e.seq] + e.pos];
+  };
+
   Library ext = primary;  // extension adds to the primary weights
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t x = 0; x < primary[s].size(); ++x) {
-      const auto& via = primary[s][x];
-      for (std::size_t e1 = 0; e1 < via.size(); ++e1) {
-        const LibEdge& k = via[e1];
-        const auto& onward = primary[k.seq][k.pos];
-        for (const LibEdge& t : onward) {
+      auto& out = ext[s][x];
+      for (std::size_t e = 0; e < out.size(); ++e)
+        slot_of(out[e]) = static_cast<std::uint32_t>(e + 1);
+      for (const LibEdge& k : primary[s][x]) {
+        for (const LibEdge& t : primary[k.seq][k.pos]) {
           if (t.seq == s) continue;
-          add_edge(ext, s, x, t.seq, t.pos, std::min(k.w, t.w));
+          const float w = std::min(k.w, t.w);
+          std::uint32_t& at = slot_of(t);
+          if (at != 0) {
+            out[at - 1].w += w;
+          } else {
+            out.push_back({t.seq, t.pos, w});
+            at = static_cast<std::uint32_t>(out.size());
+          }
         }
       }
+      for (const LibEdge& e : out) slot_of(e) = 0;
     }
   }
   return ext;

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "align/distance.hpp"
 #include "msa/clustalw_like.hpp"
 #include "msa/mafft_like.hpp"
 #include "msa/muscle_like.hpp"
 #include "msa/probcons_like.hpp"
 #include "msa/scoring.hpp"
 #include "msa/tcoffee_like.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "workload/evolver.hpp"
 #include "workload/rose.hpp"
@@ -144,6 +148,89 @@ TEST(MuscleAligner, Stage2CanBeDisabled) {
   a.validate();
   for (std::size_t i = 0; i < seqs.size(); ++i)
     EXPECT_EQ(a.degapped(i), seqs[i]);
+}
+
+// ---- MUSCLE stage 2: bit-sliced induced-Kimura kernel vs the byte loop -----
+
+/// The byte loop the bit-sliced kernel replaced, kept as its oracle.
+double byte_loop_kimura(const AlignedRow& a, const AlignedRow& b) {
+  std::size_t cols = 0;
+  std::size_t matches = 0;
+  for (std::size_t c = 0; c < a.cells.size(); ++c) {
+    if (a.cells[c] == Alignment::kGap || b.cells[c] == Alignment::kGap)
+      continue;
+    ++cols;
+    if (a.cells[c] == b.cells[c]) ++matches;
+  }
+  const double identity =
+      cols == 0 ? 0.0
+                : static_cast<double>(matches) / static_cast<double>(cols);
+  return align::kimura_distance(identity);
+}
+
+/// Rows mutated from one random base row (so identities spread over the
+/// whole range) with 30% gaps, plus an all-gap row, an all-wildcard row and
+/// a wildcard row with gaps.
+Alignment kimura_case(bio::AlphabetKind kind, std::size_t width,
+                      std::uint64_t seed) {
+  const bio::Alphabet& alpha = bio::Alphabet::get(kind);
+  util::Rng rng(seed);
+  const auto code = [&] {
+    return static_cast<std::uint8_t>(
+        rng.below(static_cast<std::uint64_t>(alpha.size())));
+  };
+  std::vector<std::uint8_t> base(width);
+  for (auto& c : base) c = code();
+  std::vector<AlignedRow> rows;
+  for (std::size_t r = 0; r < 12; ++r) {
+    AlignedRow row{util::indexed_name("r", r), base};
+    const double keep = static_cast<double>(r) / 9.0;
+    for (auto& c : row.cells) {
+      if (!rng.chance(keep)) c = code();
+      if (rng.chance(0.3)) c = Alignment::kGap;
+    }
+    rows.push_back(std::move(row));
+  }
+  rows.push_back({"gaps", std::vector<std::uint8_t>(width, Alignment::kGap)});
+  rows.push_back({"wild", std::vector<std::uint8_t>(width, alpha.wildcard())});
+  AlignedRow gappy_wild{"wild_gaps", rows.back().cells};
+  for (auto& c : gappy_wild.cells)
+    if (rng.chance(0.5)) c = Alignment::kGap;
+  rows.push_back(std::move(gappy_wild));
+  return Alignment(std::move(rows), kind);
+}
+
+TEST(InducedKimura, BitSlicedMatchesByteLoop) {
+  std::uint64_t seed = 1;
+  for (const auto kind : {bio::AlphabetKind::AminoAcid, bio::AlphabetKind::Dna})
+    for (const std::size_t width : {0, 1, 63, 64, 65, 130, 724}) {
+      const Alignment aln = kimura_case(kind, width, ++seed);
+      for (const unsigned threads : {1U, 4U}) {
+        const auto d = induced_kimura_distances(aln, threads);
+        for (std::size_t i = 0; i < aln.num_rows(); ++i) {
+          EXPECT_EQ(d(i, i), 0.0);
+          for (std::size_t j = 0; j < i; ++j)
+            EXPECT_EQ(d(i, j), byte_loop_kimura(aln.row(i), aln.row(j)))
+                << "width " << width << " threads " << threads << " pair "
+                << i << "," << j;
+        }
+      }
+    }
+}
+
+TEST(InducedKimura, OutOfRangeCodeThrows) {
+  const auto rows = [](std::uint8_t code) {
+    return std::vector<AlignedRow>{{"a", {0, code, Alignment::kGap}},
+                                   {"b", {0, 1, 2}}};
+  };
+  EXPECT_NO_THROW((void)induced_kimura_distances(rows(31), 1));
+  EXPECT_THROW((void)induced_kimura_distances(rows(32), 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)induced_kimura_distances(rows(0xFE), 1),
+               std::invalid_argument);
+  const std::vector<AlignedRow> ragged{{"a", {0, 1}}, {"b", {0}}};
+  EXPECT_THROW((void)induced_kimura_distances(ragged, 1),
+               std::invalid_argument);
 }
 
 TEST(ClustalWAligner, BandedDistancePassWorks) {
